@@ -383,11 +383,14 @@ int main(int argc, char** argv) {
       ticks_elided += result.counters.ticks_elided;
     }
     double secs = static_cast<double>(elapsed.count()) / 1e9;
+    const uint64_t dispatches = events + timer_fires;
     std::fprintf(human,
-                 "core: %llu events (%.3g events/sec aggregate), %llu rq picks, "
-                 "%llu callback heap allocs, %llu slab allocs\n",
+                 "core: %llu dispatches (%.3g/sec aggregate; %llu heap events, %llu timer "
+                 "fires), %llu rq picks, %llu callback heap allocs, %llu slab allocs\n",
+                 static_cast<unsigned long long>(dispatches),
+                 secs > 0 ? static_cast<double>(dispatches) / secs : 0,
                  static_cast<unsigned long long>(events),
-                 secs > 0 ? static_cast<double>(events) / secs : 0,
+                 static_cast<unsigned long long>(timer_fires),
                  static_cast<unsigned long long>(picks),
                  static_cast<unsigned long long>(cb_heap_allocs),
                  static_cast<unsigned long long>(slab_allocs));

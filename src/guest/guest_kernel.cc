@@ -68,6 +68,14 @@ GuestKernel::~GuestKernel() {
 
 TimeNs GuestKernel::SchedClock() const { return sim_->now(); }
 
+void GuestKernel::AddRunWatcher(RunChangeWatcher* watcher) { run_watchers_.push_back(watcher); }
+
+void GuestKernel::RemoveRunWatcher(RunChangeWatcher* watcher) {
+  auto it = std::find(run_watchers_.begin(), run_watchers_.end(), watcher);
+  VSCHED_CHECK_MSG(it != run_watchers_.end(), "removing an unregistered run watcher");
+  run_watchers_.erase(it);
+}
+
 // ---------------------------------------------------------------------------
 // Task lifecycle
 // ---------------------------------------------------------------------------

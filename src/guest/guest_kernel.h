@@ -31,6 +31,16 @@ class HostMachine;
 class Simulation;
 class VcpuThread;
 
+// Hears every change of whether a task runs on a vCPU: the vCPU was
+// scheduled in or out at the host, or its current task changed. The vtop
+// pair probe accounts prober co-activity between these changes instead of
+// polling it.
+class RunChangeWatcher {
+ public:
+  virtual ~RunChangeWatcher() = default;
+  virtual void OnRunChange(int cpu) = 0;
+};
+
 struct GuestParams {
   // Pick policy: CFS (default) or EEVDF — demonstrates vSched's claim of
   // portability across fair schedulers (§4).
@@ -112,6 +122,12 @@ class GuestKernel {
   // Creates a task; the behavior must outlive it. `allowed` defaults to all.
   Task* CreateTask(std::string name, TaskPolicy policy, TaskBehavior* behavior,
                    CpuMask allowed = CpuMask(~0ULL));
+  // Keeps `behavior` alive as long as the kernel: for tasks that outlive
+  // the component that owned their behavior (a vtop pair probe destroyed
+  // mid-flight).
+  void AdoptBehavior(std::unique_ptr<TaskBehavior> behavior) {
+    adopted_behaviors_.push_back(std::move(behavior));
+  }
 
   // Starts a new task: asks the behavior for its first action and places it.
   void StartTask(Task* task);
@@ -188,6 +204,12 @@ class GuestKernel {
   // True if the two vCPUs' hardware threads are in different sockets now.
   bool CrossSocketPhysical(int cpu_a, int cpu_b) const;
 
+  // ---- Run-change notification ----
+  // A watcher must remove itself before it is destroyed. While no watcher
+  // is registered the notification sites cost one empty-vector check.
+  void AddRunWatcher(RunChangeWatcher* watcher);
+  void RemoveRunWatcher(RunChangeWatcher* watcher);
+
   // ---- Fault injection (src/fault/) ----
   // The probes consult this at their registered injection points; null (the
   // default) means no chaos and leaves every probe path untouched.
@@ -208,6 +230,14 @@ class GuestKernel {
   // Places and enqueues a runnable task, kicking the target vCPU.
   void EnqueueTask(Task* task, int cpu, bool wakeup, int waker_cpu);
   void SendReschedIpi(int from_cpu, int to_cpu);
+
+  // Called by GuestVcpu after every write of its current task and on every
+  // host schedule in/out (the only places a vCPU's running task changes).
+  void NotifyRunChange(int cpu) {
+    for (RunChangeWatcher* watcher : run_watchers_) {
+      watcher->OnRunChange(cpu);
+    }
+  }
 
   // Tick machinery.
   void OnTick(int cpu);
@@ -235,9 +265,10 @@ class GuestKernel {
   Rng rng_;
 
   std::vector<std::unique_ptr<GuestVcpu>> vcpus_;
-  // Declared before tasks_: tasks hold raw pointers into the arena, so it
-  // must be destroyed after them.
+  // Declared before tasks_: tasks hold raw pointers into the arena and into
+  // the adopted behaviors, so both must be destroyed after them.
   PeltArena pelt_arena_;
+  std::vector<std::unique_ptr<TaskBehavior>> adopted_behaviors_;
   std::vector<std::unique_ptr<Task>> tasks_;
   uint64_t next_task_id_ = 1;
   uint64_t next_sleep_token_ = 1;
@@ -249,6 +280,7 @@ class GuestKernel {
 
   SelectHook select_hook_;
   std::vector<TickHook> tick_hooks_;
+  std::vector<RunChangeWatcher*> run_watchers_;
   FaultInjector* fault_injector_ = nullptr;
 
   KernelCounters counters_;

@@ -29,6 +29,7 @@ GuestVcpu::~GuestVcpu() {
 double GuestVcpu::CfsCapacity() const { return kernel_->CfsCapacityOf(index_); }
 
 void GuestVcpu::OnVcpuScheduledIn(TimeNs now) {
+  kernel_->NotifyRunChange(index_);
   kernel_->ResumeTick(index_);  // NOHZ: restart a stopped tick on its grid.
   if (current_ != nullptr) {
     OpenSegment(now);
@@ -48,7 +49,10 @@ void GuestVcpu::OnVcpuScheduledIn(TimeNs now) {
   }
 }
 
-void GuestVcpu::OnVcpuScheduledOut(TimeNs now) { CloseSegment(now); }
+void GuestVcpu::OnVcpuScheduledOut(TimeNs now) {
+  CloseSegment(now);
+  kernel_->NotifyRunChange(index_);
+}
 
 void GuestVcpu::OnVcpuRateChanged(TimeNs now) {
   if (segment_open_) {
@@ -147,6 +151,7 @@ void GuestVcpu::Dispatch(Task* next, TimeNs now) {
                      static_cast<double>(kernel_->params().min_granularity) *
                          (kCapacityScale / next->weight());
   current_ = next;
+  kernel_->NotifyRunChange(index_);
   kernel_->counters().context_switches.Inc();
   UpdateHostDemand();
   if (active()) {
@@ -159,6 +164,7 @@ void GuestVcpu::PutCurrent(TimeNs now, bool requeue) {
   CloseSegment(now);
   Task* prev = current_;
   current_ = nullptr;
+  kernel_->NotifyRunChange(index_);
   if (requeue) {
     prev->state_ = TaskState::kRunnable;
     prev->enqueue_time_ = now;

@@ -7,6 +7,15 @@
 // Stacked vCPUs never run simultaneously, so the probe times out with ~zero
 // transfers and reports infinite latency. The timeout is extended when few
 // transfers were observed, to avoid misidentifying busy-but-unstacked pairs.
+//
+// The probe observes the pair on a grid of sample instants, one per
+// sample_quantum after Start. It does not poll that grid. Between two run
+// changes of its vCPUs (GuestKernel's RunChangeWatcher) every sample is
+// either a no-op (neither prober runs) or one fixed spin step (exactly one
+// runs), so those samples are accounted in bulk at the next change, and the
+// sample timer is armed only where a sample can decide something: each
+// co-active sample (it draws measurement jitter) and the spin sample that
+// reaches the timeout.
 #ifndef SRC_PROBE_PAIR_PROBE_H_
 #define SRC_PROBE_PAIR_PROBE_H_
 
@@ -17,13 +26,13 @@
 #include <vector>
 
 #include "src/base/time.h"
+#include "src/guest/guest_kernel.h"
 #include "src/guest/task.h"
 #include "src/probe/robust.h"
 #include "src/sim/timer_wheel.h"
 
 namespace vsched {
 
-class GuestKernel;
 class Simulation;
 
 struct PairProbeConfig {
@@ -32,7 +41,7 @@ struct PairProbeConfig {
   int max_extensions = 3;          // timeout doublings before giving up
   int min_transfers_for_latency = 10;
   TimeNs attempt_period = UsToNs(1);  // one spin attempt per µs
-  TimeNs sample_quantum = UsToNs(10);
+  TimeNs sample_quantum = UsToNs(10);  // a whole number of attempt periods
   double noise = 0.08;  // multiplicative measurement jitter
   // Robust latency estimation under fault injection: the reported latency
   // becomes the median of the first observations instead of the minimum
@@ -55,12 +64,12 @@ struct PairProbeResult {
   double confidence = 1.0;
 };
 
-class PairProbe {
+class PairProbe : public RunChangeWatcher {
  public:
   using DoneCallback = std::function<void(const PairProbeResult&)>;
 
   PairProbe(GuestKernel* kernel, int cpu_a, int cpu_b, PairProbeConfig config, DoneCallback done);
-  ~PairProbe();
+  ~PairProbe() override;
 
   PairProbe(const PairProbe&) = delete;
   PairProbe& operator=(const PairProbe&) = delete;
@@ -68,13 +77,30 @@ class PairProbe {
   void Start();
   bool done() const { return done_reported_; }
 
-  // True once the probe finished AND both spin tasks exited — only then may
-  // the probe (which owns the behaviors) be destroyed.
+  // True once the probe finished AND both spin tasks exited. Destroying a
+  // probe earlier is safe (the kernel adopts the spin behaviors until their
+  // tasks exit), but Vtop sweeps probes only at this point: destruction
+  // frees the sample timer's id for reuse, and reuse order is part of the
+  // timer band order.
   bool CanDestroy() const;
 
+  // RunChangeWatcher:
+  void OnRunChange(int cpu) override;
+
  private:
+  friend struct AuditTestAccess;
   class SpinBehavior;
 
+  // A prober runs while its vCPU is active at the host and it is the
+  // vCPU's current task.
+  bool Running(int cpu, const Task* prober) const;
+  // Accounts the grid samples before `end` to the cached run state. Plan()
+  // armed the timer at the first sample that could end the probe, so none
+  // of these can.
+  void Replay(TimeNs end);
+  // Arms the sample timer at the next sample that needs Sample() under the
+  // cached run state, or cancels it if none does.
+  void Plan();
   void Sample();
   void Finish(double latency);
 
@@ -85,15 +111,19 @@ class PairProbe {
   PairProbeConfig config_;
   DoneCallback done_;
 
-  std::unique_ptr<SpinBehavior> behavior_a_;
-  std::unique_ptr<SpinBehavior> behavior_b_;
+  std::unique_ptr<SpinBehavior> spin_a_;
+  std::unique_ptr<SpinBehavior> spin_b_;
   Task* prober_a_ = nullptr;
   Task* prober_b_ = nullptr;
 
   TimeNs started_at_ = 0;
   double transfers_ = 0;
-  double attempts_ = 0;
-  double current_timeout_ = 0;
+  // Whole attempts (the constructor checks that a quantum holds a whole
+  // number of attempt periods), so n spin samples add exactly
+  // n * attempts_per_sample_ and Replay/Plan need no per-sample loop.
+  int64_t attempts_ = 0;
+  int64_t attempts_per_sample_ = 0;
+  int64_t current_timeout_ = 0;
   int extensions_ = 0;
   double min_latency_seen_ = kInfiniteLatency;
   // First observations (bounded), for the robust median estimate.
@@ -101,9 +131,14 @@ class PairProbe {
   uint64_t samples_kept_ = 0;
   uint64_t samples_dropped_ = 0;
   bool done_reported_ = false;
-  // Sampling runs every sample_quantum for the probe's whole life — a wheel
-  // timer registered once and re-armed in place instead of a fresh heap
-  // event per quantum (vtop probes account for millions of samples per run).
+  // First grid instant (started_at_ + k * sample_quantum) not yet accounted.
+  TimeNs next_sample_ = 0;
+  // Run state of the probers as of the last run change.
+  bool a_running_ = false;
+  bool b_running_ = false;
+  // Registered once and re-armed in place (Plan). Registering it in the
+  // constructor keeps every other timer's id, and so the band order,
+  // independent of how often it fires.
   TimerId sample_timer_ = kInvalidTimerId;
 
   // Liveness token for posted event closures (the PR-6 pattern, enforced by

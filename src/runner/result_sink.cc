@@ -98,6 +98,10 @@ std::string ResultRowJson(const RunResult& result, bool include_timing) {
     row += ",\"events\":" + std::to_string(c.events_executed);
     row += ",\"events_per_sec\":" +
            JsonNumber(secs > 0 ? static_cast<double>(c.events_executed) / secs : 0);
+    // The run loop dispatches heap events and wheel timers alike; the wheel's
+    // timer band is usually the larger share.
+    row += ",\"timer_fires\":" + std::to_string(c.timer_fires);
+    row += ",\"dispatches\":" + std::to_string(c.events_executed + c.timer_fires);
     row += ",\"events_cancelled\":" + std::to_string(c.events_cancelled);
     row += ",\"cb_heap_allocs\":" + std::to_string(c.callback_heap_allocs);
     row += ",\"slab_allocs\":" + std::to_string(c.event_slab_allocs);

@@ -31,7 +31,7 @@ void Simulation::RunUntil(TimeNs deadline) {
     if (tq > deadline) {
       break;
     }
-    last_heap_exec_time_ = tq;
+    band_closed_at_ = tq;
     ++events_dispatched_;
     if (event_budget_ != 0 && events_dispatched_ > event_budget_) {
       throw SimBudgetExceeded(event_budget_);
@@ -39,6 +39,9 @@ void Simulation::RunUntil(TimeNs deadline) {
     queue_.RunOne();
   }
   queue_.AdvanceClockTo(deadline);
+  if (queue_.now() == deadline) {
+    band_closed_at_ = deadline;
+  }
   VSCHED_AUDIT_CHECK(queue_.now() >= before, "simulation clock moved backwards");
   VSCHED_AUDIT_CHECK(deadline <= before || queue_.now() == deadline,
                      "RunUntil did not land on its deadline");

@@ -91,16 +91,18 @@ class Simulation {
 
   // True if a wheel timer `id` armed *right now* for deadline `when` ==
   // now() would still fire at this instant, i.e. the current timestamp's
-  // timer band has not yet passed the timer's (when, id) position and the
-  // heap phase has not begun. Tickless re-arm logic uses this to decide
-  // whether an elided periodic timer can still fire in its natural band
-  // position this instant.
+  // timer band has not yet passed the timer's (when, id) position, the
+  // heap phase has not begun, and no RunUntil has already returned at this
+  // instant. Tickless re-arm logic uses this to decide whether an elided
+  // periodic timer can still fire in its natural band position this
+  // instant; the vtop pair probe uses it to place a run change that lands
+  // on a sample instant before or after that sample.
   bool TimerStillFiresAt(TimerId id, TimeNs when) const {
     if (when > now()) {
       return true;
     }
-    if (last_heap_exec_time_ == when) {
-      return false;  // heap phase at `when` has begun: the band is closed
+    if (band_closed_at_ == when) {
+      return false;
     }
     return wheel_.StillFiresAt(id, when);
   }
@@ -160,9 +162,11 @@ class Simulation {
   EventQueue queue_;
   TimerWheel wheel_;
   Rng rng_;
-  // Timestamp of the most recent heap event dispatched; marks the timer
-  // band at that instant as closed (see TimerStillFiresAt).
-  TimeNs last_heap_exec_time_ = -1;
+  // An instant whose timer band is closed (see TimerStillFiresAt): set when
+  // a heap event dispatches, since the heap phase follows the band, and
+  // when RunUntil returns, since every timer due at its deadline has fired.
+  // Code that runs between RunUntil calls acts after that band.
+  TimeNs band_closed_at_ = -1;
   uint64_t event_budget_ = 0;
   uint64_t events_dispatched_ = 0;
   // Handles live until the simulation dies; they are tiny and this keeps

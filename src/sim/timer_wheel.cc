@@ -309,9 +309,14 @@ void TimerWheel::RunOne(TimeNs when) {
   t.deadline = kTimeInfinity;
   ++t.epoch;
   --armed_count_;
+  // A timer armed for `when` after its band position passed fires late, out
+  // of id order; keep the band's high-water id so StillFiresAt stays exact.
+  if (!fired_any_ || last_fire_when_ != when) {
+    band_high_id_ = kInvalidTimerId;
+  }
+  band_high_id_ = std::max(band_high_id_, top.id);
   fired_any_ = true;
   last_fire_when_ = when;
-  last_fire_id_ = top.id;
   ++fired_;
   ++counters_->timer_fires;
   // Runs in place out of the (address-stable) slot; may re-arm any timer,

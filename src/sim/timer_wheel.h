@@ -100,7 +100,7 @@ class TimerWheel {
   // tickless re-arm logic to decide between "fire in natural band position
   // now" and "next grid point".
   bool StillFiresAt(TimerId id, TimeNs when) const {
-    return !(fired_any_ && last_fire_when_ == when && last_fire_id_ >= id);
+    return !(fired_any_ && last_fire_when_ == when && band_high_id_ >= id);
   }
 
   size_t ArmedCount() const { return armed_count_; }
@@ -196,7 +196,7 @@ class TimerWheel {
   uint64_t fired_ = 0;
   bool fired_any_ = false;
   TimeNs last_fire_when_ = 0;
-  TimerId last_fire_id_ = kInvalidTimerId;
+  TimerId band_high_id_ = kInvalidTimerId;  // highest id fired at last_fire_when_
   // Cached once, like EventQueue does: Current() is a TLS read behind an
   // init guard, too hot to re-resolve on every arm/fire.
   PerfCounters* counters_ = PerfCounters::Current();

@@ -17,6 +17,9 @@
 #include "src/base/time.h"
 #include "src/guest/runqueue.h"
 #include "src/guest/task.h"
+#include "src/guest/vm.h"
+#include "src/host/machine.h"
+#include "src/probe/pair_probe.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/simulation.h"
 #include "src/sim/timer_wheel.h"
@@ -137,6 +140,12 @@ struct AuditTestAccess {
     ASSERT_GE(w.ready_.size(), 2u);
     std::swap(w.ready_.front(), w.ready_.back());
   }
+
+  // ---- PairProbe backdoor ----
+
+  // Flips the probe's cached run flag for prober A: the stale state a
+  // run-change site that stopped notifying would leave behind.
+  static void FlipCachedRun(PairProbe& p) { p.a_running_ = !p.a_running_; }
 };
 
 namespace {
@@ -403,6 +412,26 @@ TEST_F(AuditTest, ViolationCountAccumulatesAcrossReports) {
   EXPECT_GT(first, 0u);
   q.AuditVerify();
   EXPECT_GT(audit::ViolationCount(), first);
+}
+
+TEST_F(AuditTest, StalePairProbeRunStateIsCaught) {
+  Simulation sim(7);
+  TopologySpec topo;
+  topo.sockets = 2;
+  topo.cores_per_socket = 2;
+  HostMachine machine(&sim, topo);
+  VmSpec spec = MakeSimpleVmSpec("vm", 2);
+  spec.vcpus[1].tid = 4;  // cross-socket: the probe needs several co-active samples
+  Vm vm(&sim, &machine, spec);
+  PairProbe probe(&vm.kernel(), 0, 1, PairProbeConfig{}, [](const PairProbeResult&) {});
+  probe.Start();
+  sim.RunFor(UsToNs(25));  // two clean timer-driven samples
+  ASSERT_FALSE(probe.done());
+  ASSERT_EQ(audit::ViolationCount(), 0u);
+  AuditTestAccess::FlipCachedRun(probe);
+  sim.RunFor(UsToNs(10));  // the next timer-driven sample must notice
+  EXPECT_GT(audit::ViolationCount(), 0u);
+  EXPECT_TRUE(AnyViolationContains("cached prober run state"));
 }
 
 }  // namespace

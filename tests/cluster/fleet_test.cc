@@ -1,12 +1,14 @@
 #include "src/cluster/fleet.h"
 
 #include <algorithm>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/base/time.h"
 #include "src/cluster/fleet_spec.h"
 #include "src/core/config.h"
+#include "src/core/vsched.h"
 #include "src/fault/fault_plan.h"
 #include "src/sim/simulation.h"
 
@@ -91,6 +93,42 @@ TEST(Fleet, MidSimTeardownWithVschedGuestsInFlight) {
   FleetTotals t = RunFleet(spec, VSchedOptions::Full(), MsToNs(1000));
   EXPECT_GE(t.vms_departed, 8);
   EXPECT_GT(t.migrations, 0u);
+}
+
+// Lifetime: a tenant that departs while its first full vtop probe is in
+// flight destroys PairProbes that are run-change watchers of its guest
+// kernel. The VM is still attached: relaxing its neighbours' caps
+// (VacateThreads) reschedules its vCPUs before it detaches. Under ASan (the
+// asan-ubsan ctest job) a watcher left in the kernel is a use-after-free.
+TEST(Fleet, TenantDepartsMidFullProbe) {
+  VSchedOptions options = VSchedOptions::Full();
+  // The pair probes miss their target and run to the timeout, so a full
+  // probe stays in flight for most of a tenant's life.
+  options.vtop.pair.target_transfers = 1 << 30;
+  // More tenants than the tiny hosts hold, so departures share capped threads.
+  FleetSpec spec = Tiny();
+  spec.vms = 40;
+  spec.arrival_window = MsToNs(600);
+  Simulation sim(kSeed);
+  Fleet fleet(&sim, spec, options);
+  fleet.Start();
+  std::vector<bool> probing;
+  int departed_mid_probe = 0;
+  for (int step = 0; step < 1000; ++step) {
+    sim.RunFor(MsToNs(1));
+    probing.resize(static_cast<size_t>(fleet.num_tenants()), false);
+    for (int id = 0; id < fleet.num_tenants(); ++id) {
+      const TenantVm& tenant = fleet.tenant(id);
+      if (tenant.departed && probing[static_cast<size_t>(id)]) {
+        ++departed_mid_probe;
+      }
+      probing[static_cast<size_t>(id)] = !tenant.departed && tenant.vsched != nullptr &&
+                                         tenant.vsched->vtop()->busy() &&
+                                         tenant.vsched->vtop()->validations_run() == 0;
+    }
+  }
+  fleet.Finish();
+  EXPECT_GT(departed_mid_probe, 0);
 }
 
 // Returns the largest per-host committed-vCPU count at the horizon.

@@ -1,6 +1,8 @@
 // Parameterized property tests for the host scheduler: fairness across
 // weight ratios, bandwidth-cap accuracy across the quota/period grid,
 // latency shaping by granularity, and time conservation under random mixes.
+#include <ostream>
+
 #include <gtest/gtest.h>
 
 #include "src/host/machine.h"
@@ -178,6 +180,12 @@ struct SmtCase {
   double freq;
   bool sibling_busy;
 };
+
+// ctest names each case after this text. Without it gtest prints the raw
+// bytes, padding included, and the name changes from one build to the next.
+void PrintTo(const SmtCase& c, std::ostream* os) {
+  *os << "freq=" << c.freq << " sibling=" << (c.sibling_busy ? "busy" : "idle");
+}
 
 class SmtSpeed : public ::testing::TestWithParam<SmtCase> {};
 

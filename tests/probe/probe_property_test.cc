@@ -2,6 +2,7 @@
 // grids (bandwidth- and DVFS-induced), vact across latency grids, and vtop
 // against randomly generated ground-truth topologies.
 #include <cmath>
+#include <ostream>
 
 #include <gtest/gtest.h>
 
@@ -100,6 +101,12 @@ struct VtopCase {
   uint64_t seed;
   int vcpus;
 };
+
+// ctest names each case after this text. Without it gtest prints the raw
+// bytes, padding included, and the name changes from one build to the next.
+void PrintTo(const VtopCase& c, std::ostream* os) {
+  *os << "seed=" << c.seed << " vcpus=" << c.vcpus;
+}
 
 class VtopRandomTopology : public ::testing::TestWithParam<VtopCase> {};
 

@@ -1,5 +1,7 @@
 #include "src/sim/simulation.h"
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace vsched {
@@ -51,6 +53,40 @@ TEST(SimulationTest, CancelPeriodicFromInsideCallback) {
   });
   sim.RunFor(MsToNs(10));
   EXPECT_EQ(count, 3);
+}
+
+TEST(SimulationTest, TimerBandPositionAtAnInstant) {
+  Simulation sim(1);
+  TimerId early = sim.CreateTimer([] {});
+  TimerId probe = sim.CreateTimer([] {});
+  TimerId late = sim.CreateTimer([] {});
+  std::vector<bool> seen;
+  TimerId check = sim.CreateTimer([&] { seen.push_back(sim.TimerStillFiresAt(late, sim.now())); });
+  sim.ArmTimerAt(early, 100);
+  sim.ArmTimerAt(check, 100);
+  sim.At(100, [&] { seen.push_back(sim.TimerStillFiresAt(late, sim.now())); });
+  sim.RunUntil(99);
+  EXPECT_TRUE(sim.TimerStillFiresAt(probe, 100));  // a future instant
+  sim.RunUntil(100);
+  // Timer band: `late` precedes `check`, so its position has passed; then
+  // the heap phase closes the whole band.
+  EXPECT_EQ(seen, (std::vector<bool>{false, false}));
+  EXPECT_FALSE(sim.TimerStillFiresAt(probe, 100));
+}
+
+TEST(SimulationTest, TimerBandClosesWhenRunUntilReturns) {
+  // Everything due at a RunUntil deadline has run once it returns, so code
+  // acting between two RunUntil calls comes after that instant's band even
+  // though no heap event ran then.
+  Simulation sim(1);
+  TimerId early = sim.CreateTimer([] {});
+  TimerId probe = sim.CreateTimer([] {});
+  sim.ArmTimerAt(early, 100);
+  sim.RunUntil(100);
+  EXPECT_FALSE(sim.TimerStillFiresAt(probe, 100));
+  sim.RunUntil(200);
+  EXPECT_FALSE(sim.TimerStillFiresAt(probe, 200));
+  EXPECT_TRUE(sim.TimerStillFiresAt(probe, 300));
 }
 
 TEST(SimulationTest, ForkRngDeterministic) {

@@ -173,6 +173,21 @@ TEST(TimerWheel, StillFiresAtTracksDispatchPosition) {
   EXPECT_TRUE(wheel.StillFiresAt(b, MsToNs(2)));  // future instants unaffected
 }
 
+TEST(TimerWheel, StillFiresAtKeepsTheBandHighWaterMark) {
+  // Timer `low` is armed for the current instant after `high` has fired, so
+  // it fires late, out of id order. `mid`'s band position had still passed.
+  TimerWheel wheel;
+  TimerId low = wheel.Register([] {});
+  TimerId mid = wheel.Register([] {});
+  TimerId high = wheel.Register([&] { wheel.Arm(low, MsToNs(1)); });
+  wheel.Arm(high, MsToNs(1));
+  DrainUntil(wheel, MsToNs(1));
+  EXPECT_FALSE(wheel.IsArmed(low));  // fired after `high`, at the same instant
+  EXPECT_FALSE(wheel.StillFiresAt(mid, MsToNs(1)));
+  EXPECT_FALSE(wheel.StillFiresAt(high, MsToNs(1)));
+  EXPECT_TRUE(wheel.StillFiresAt(high + 1, MsToNs(1)));
+}
+
 // ---------------------------------------------------------------------------
 // Differential stress: wheel vs the 4-ary heap, identical dispatch sequences.
 // ---------------------------------------------------------------------------
