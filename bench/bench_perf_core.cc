@@ -24,7 +24,6 @@
 
 #include "src/base/perf_counters.h"
 #include "src/base/time.h"
-#include "src/cluster/fleet.h"
 #include "src/cluster/fleet_spec.h"
 #include "src/cluster/sharded_fleet.h"
 #include "src/guest/runqueue.h"
@@ -333,9 +332,9 @@ IdleTickResult RunIdleTick(TimeNs sim_time) {
 
 // ---------------------------------------------------------------------------
 // Fleet: the rack preset (64 hosts, 256 VMs x 4 vCPUs) under vSched guests —
-// the cluster control plane plus a few hundred live guest stacks in one
-// Simulation. This is the scaling story for src/cluster/: sim-ms/sec here
-// bounds how big a fleet the dc preset can sweep in reasonable wall time.
+// the cluster control plane plus a few hundred live guest stacks. This is the
+// scaling story for src/cluster/: sim-ms/sec here bounds how big a fleet the
+// dc preset can sweep in reasonable wall time.
 // ---------------------------------------------------------------------------
 
 struct FleetBenchResult {
@@ -347,45 +346,10 @@ struct FleetBenchResult {
   int vms_placed = 0;
 };
 
-FleetBenchResult RunFleetSmall(TimeNs sim_time) {
-  FleetSpec spec;
-  bool ok = LookupFleetSpec("rack", &spec);
-  if (!ok) {
-    std::fprintf(stderr, "bench_perf_core: rack fleet preset missing\n");
-    std::exit(1);
-  }
-  Simulation sim(/*seed=*/0xF1EE7u);
-  Fleet fleet(&sim, spec, VSchedOptions::Full());
-  auto start = std::chrono::steady_clock::now();
-  fleet.Start();
-  sim.RunFor(sim_time);
-  fleet.Finish();
-  FleetBenchResult r;
-  r.wall_ns = WallNs(start);
-  r.sim_ms = static_cast<double>(sim_time) / 1e6;
-  r.sim_ms_per_sec = r.wall_ns > 0 ? r.sim_ms * 1e9 / static_cast<double>(r.wall_ns) : 0;
-  r.requests = fleet.totals().requests;
-  r.migrations = fleet.totals().migrations;
-  r.vms_placed = fleet.totals().vms_placed;
-  // A fleet bench that stops exercising live migration is measuring a
-  // different (cheaper) workload while still reporting under the same name:
-  // the number silently drifts optimistic and the baseline gate compares
-  // apples to oranges. That happened once — a consolidation dest-picker bug
-  // zeroed migrations for months — so fail loudly, not quietly.
-  if (r.migrations == 0) {
-    std::fprintf(stderr,
-                 "bench_perf_core: fleet_small completed with zero migrations; the "
-                 "consolidation path is no longer exercised and sim-ms/sec is not "
-                 "comparable with the baseline\n");
-    std::exit(1);
-  }
-  return r;
-}
-
-// Same rack-scale fleet on the sharded PDES engine (vsched_run --shards).
-// Reported per shard count: on a multi-core box the spread shows parallel
-// scaling; on a single-core box it isolates the engine's serial overhead
-// (barrier loop + mailbox) and the cache benefit of per-cell event queues.
+// Reported per shard count (vsched_run --shards): fleet_small is the 1-shard
+// run, fleet_small_sharded the 4-shard one. On a multi-core box the spread
+// shows parallel scaling; on a single-core box it isolates the engine's
+// serial overhead (barrier loop + mailbox).
 FleetBenchResult RunFleetSmallSharded(TimeNs sim_time, int shards) {
   FleetSpec spec;
   bool ok = LookupFleetSpec("rack", &spec);
@@ -403,10 +367,17 @@ FleetBenchResult RunFleetSmallSharded(TimeNs sim_time, int shards) {
   r.requests = fleet.totals().requests;
   r.migrations = fleet.totals().migrations;
   r.vms_placed = fleet.totals().vms_placed;
+  // A fleet bench that stops exercising live migration is measuring a
+  // different (cheaper) workload while still reporting under the same name:
+  // the number silently drifts optimistic and the baseline gate compares
+  // apples to oranges. That happened once — a consolidation dest-picker bug
+  // zeroed migrations for months — so fail loudly, not quietly.
   if (r.migrations == 0) {
     std::fprintf(stderr,
-                 "bench_perf_core: fleet_small_sharded completed with zero migrations; "
-                 "the sharded consolidation path is no longer exercised\n");
+                 "bench_perf_core: fleet run at %d shard(s) completed with zero migrations; "
+                 "the consolidation path is no longer exercised and sim-ms/sec is not "
+                 "comparable with the baseline\n",
+                 shards);
     std::exit(1);
   }
   return r;
@@ -602,14 +573,8 @@ int main(int argc, char** argv) {
                idle.sim_ms_per_sec, idle.sim_ms_per_sec_ticking, idle.speedup,
                static_cast<unsigned long long>(idle.ticks_avoided));
 
-  std::fprintf(stderr, "fleet_small: rack preset (64 hosts, 256 VMs), %llu sim-ms...\n",
+  std::fprintf(stderr, "fleet: rack preset (64 hosts, 256 VMs), %llu sim-ms at 1, 2, 4 shards...\n",
                static_cast<unsigned long long>(opt.fleet_ms));
-  FleetBenchResult fleet = RunFleetSmall(MsToNs(static_cast<TimeNs>(opt.fleet_ms)));
-  std::fprintf(stderr, "  %.3g sim-ms/sec (%llu requests, %llu migrations, %d VMs placed)\n",
-               fleet.sim_ms_per_sec, static_cast<unsigned long long>(fleet.requests),
-               static_cast<unsigned long long>(fleet.migrations), fleet.vms_placed);
-
-  std::fprintf(stderr, "fleet_small_sharded: same rack preset on the PDES engine...\n");
   FleetBenchResult shard1 = RunFleetSmallSharded(MsToNs(static_cast<TimeNs>(opt.fleet_ms)), 1);
   FleetBenchResult shard2 = RunFleetSmallSharded(MsToNs(static_cast<TimeNs>(opt.fleet_ms)), 2);
   FleetBenchResult shard4 = RunFleetSmallSharded(MsToNs(static_cast<TimeNs>(opt.fleet_ms)), 4);
@@ -646,11 +611,11 @@ int main(int argc, char** argv) {
        << ", \"sim_ms_per_sec_ticking\": " << JsonNumber(idle.sim_ms_per_sec_ticking)
        << ", \"ticks_avoided\": " << idle.ticks_avoided
        << ", \"speedup\": " << JsonNumber(idle.speedup) << "},\n";
-  json << "  \"fleet_small\": {\"sim_ms\": " << JsonNumber(fleet.sim_ms)
-       << ", \"wall_ns\": " << fleet.wall_ns
-       << ", \"sim_ms_per_sec\": " << JsonNumber(fleet.sim_ms_per_sec)
-       << ", \"requests\": " << fleet.requests << ", \"migrations\": " << fleet.migrations
-       << ", \"vms_placed\": " << fleet.vms_placed << "},\n";
+  json << "  \"fleet_small\": {\"sim_ms\": " << JsonNumber(shard1.sim_ms)
+       << ", \"wall_ns\": " << shard1.wall_ns
+       << ", \"sim_ms_per_sec\": " << JsonNumber(shard1.sim_ms_per_sec)
+       << ", \"requests\": " << shard1.requests << ", \"migrations\": " << shard1.migrations
+       << ", \"vms_placed\": " << shard1.vms_placed << "},\n";
   json << "  \"fleet_small_sharded\": {\"sim_ms\": " << JsonNumber(shard4.sim_ms)
        << ", \"shards\": 4, \"wall_ns\": " << shard4.wall_ns
        << ", \"sim_ms_per_sec\": " << JsonNumber(shard4.sim_ms_per_sec)
@@ -678,7 +643,7 @@ int main(int argc, char** argv) {
   }
 
   if (!opt.baseline.empty()) {
-    return CompareBaseline(opt.baseline, opt.max_regress, churn, rq_cfs, timer, idle, fleet,
+    return CompareBaseline(opt.baseline, opt.max_regress, churn, rq_cfs, timer, idle, shard1,
                            shard4, cell);
   }
   return 0;

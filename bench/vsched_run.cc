@@ -15,9 +15,13 @@
 // docs/RUNNER.md and docs/ROBUSTNESS.md.
 #include <algorithm>
 #include <atomic>
+#include <cctype>
+#include <cerrno>
 #include <chrono>
+#include <climits>
 #include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -58,7 +62,7 @@ struct CliOptions {
   std::string fault_plan;       // empty: clean run
   uint64_t event_budget = 0;    // 0: no watchdog
   std::string resume;           // empty: fresh sweep
-  int shards = 0;  // fleet runs: 0 = sequential engine, >= 1 = sharded PDES engine
+  int shards = 1;  // fleet runs: worker threads of the fleet engine
 };
 
 void Usage(std::FILE* out) {
@@ -91,11 +95,24 @@ void Usage(std::FILE* out) {
                "  --list-plans       print the canned fault plan names and exit\n"
                "  --event-budget N   per-run simulated-event watchdog; a run exceeding N\n"
                "                     events reports status=timeout instead of hanging\n"
-               "  --shards N         fleet runs: execute each fleet on the sharded PDES\n"
-               "                     engine with N worker threads (rows are byte-identical\n"
-               "                     for every N >= 1); 0 = sequential engine (default)\n"
+               "  --shards N         fleet runs: worker threads per fleet, N >= 1 (default 1);\n"
+               "                     rows are byte-identical for every N\n"
                "  --resume FILE      reuse ok rows from a previous JSONL output and execute\n"
                "                     only the missing/failed cells\n");
+}
+
+// Parses `text` as a whole decimal integer >= 1; exits 2 naming `flag`
+// otherwise.
+int ParsePositiveInt(const char* flag, const char* text) {
+  errno = 0;
+  char* end = nullptr;
+  long value = std::strtol(text, &end, 10);
+  bool whole = std::isdigit(static_cast<unsigned char>(*text)) && *end == '\0' && errno != ERANGE;
+  if (!whole || value < 1 || value > INT_MAX) {
+    std::fprintf(stderr, "vsched_run: %s needs an integer >= 1, got '%s'\n", flag, text);
+    std::exit(2);
+  }
+  return static_cast<int>(value);
 }
 
 // Parses argv; returns false (after printing usage) on an unknown flag.
@@ -157,7 +174,7 @@ bool ParseArgs(int argc, char** argv, CliOptions& cli) {
     } else if (take("--event-budget")) {
       cli.event_budget = std::strtoull(v, nullptr, 0);
     } else if (take("--shards")) {
-      cli.shards = std::atoi(v);
+      cli.shards = ParsePositiveInt("--shards", v);
     } else if (take("--resume")) {
       cli.resume = v;
     } else if (take("--experiment")) {

@@ -1,5 +1,5 @@
-# ctest script: the sharded (PDES) fleet engine is deterministic in its
-# worker-thread count. Run with:
+# ctest script: the fleet engine is deterministic in its worker-thread
+# count. Run with:
 #   cmake -DVSCHED_RUN=<binary> -DWORK_DIR=<dir> -P vsched_run_fleet_sharded.cmake
 #
 # Asserts:
@@ -12,6 +12,8 @@
 #      as the runner's --jobs (see docs/PERF.md, "Sharded fleet execution").
 #   2. The same holds with a chaos plan armed: fault injectors live inside
 #      cells and replay byte-identically at any shard count.
+#   3. --shards takes a whole integer >= 1: anything else exits 2 before a
+#      single run starts.
 
 function(run_fleet out)
   execute_process(
@@ -46,3 +48,18 @@ run_fleet(${WORK_DIR}/fleet_chaos_s1.jsonl --shards 1 --fault-plan everything)
 run_fleet(${WORK_DIR}/fleet_chaos_s4.jsonl --shards 4 --fault-plan everything)
 expect_identical(${WORK_DIR}/fleet_chaos_s1.jsonl ${WORK_DIR}/fleet_chaos_s4.jsonl
                  "chaos sharded fleet differs between --shards=1 and --shards=4")
+
+# --- 3. bad --shards values are usage errors ---------------------------------
+foreach(bad 0 -1 x abc 4x)
+  execute_process(
+      COMMAND ${VSCHED_RUN} --fleet tiny --shards ${bad} --out ${WORK_DIR}/fleet_bad.jsonl
+      RESULT_VARIABLE rc
+      OUTPUT_QUIET
+      ERROR_VARIABLE err)
+  if(NOT rc EQUAL 2)
+    message(FATAL_ERROR "vsched_run --shards ${bad} exited ${rc}, expected 2")
+  endif()
+  if(NOT err MATCHES "--shards")
+    message(FATAL_ERROR "vsched_run --shards ${bad} did not name --shards: ${err}")
+  endif()
+endforeach()

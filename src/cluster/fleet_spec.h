@@ -128,7 +128,7 @@ struct FleetSpec {
   // cell, mirroring rack-locality constraints real placement respects.
   // Deliberately part of the *spec*, not the CLI: the partition must not
   // depend on --shards, or output could not be byte-identical across shard
-  // counts. The sequential Fleet engine ignores it.
+  // counts.
   int cell_hosts = 8;
 
   // ---- Energy model (watts; integrated over the horizon) ----

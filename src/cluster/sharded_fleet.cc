@@ -6,10 +6,109 @@
 #include <utility>
 
 #include "src/base/check.h"
-#include "src/cluster/fleet_ops.h"
 #include "src/guest/guest_kernel.h"
 
 namespace vsched {
+namespace {
+
+// Rotating first-fit reservation of `vcpus` hardware threads on one host;
+// updates the host's commit bookkeeping.
+std::vector<HwThreadId> ReserveHostThreads(const FleetSpec& spec, int num_threads,
+                                           ClusterHost* host, int vcpus) {
+  // Rotating first-fit: take consecutive threads starting at a per-host
+  // cursor, skipping only threads already at the stacking ceiling. Real VMMs
+  // place vCPU threads wherever they land, not commit-balanced — so VM
+  // footprints overlap partially and a VM's vCPUs end up with *unequal*
+  // co-runners (some share a thread with a busy neighbor, some run alone).
+  // That intra-VM capacity/latency asymmetry is the paper's §2 regime, the
+  // thing guest CFS cannot see and vSched's probers exist to discover.
+  // Least-committed-first reservation would equalize stacking across a VM's
+  // vCPUs and erase the asymmetry.
+  int n = num_threads;
+  int ceiling = 1;
+  while (ceiling * n < static_cast<int>(spec.overcommit * n)) {
+    ++ceiling;
+  }
+  std::vector<HwThreadId> tids;
+  tids.reserve(static_cast<size_t>(vcpus));
+  int cursor = host->reserve_cursor;
+  for (int v = 0; v < vcpus; ++v) {
+    // First pass honors the per-thread ceiling; if all threads are at it
+    // (the host-level commit gate still admitted us), fall back to the
+    // least-committed thread so reservation never fails.
+    int picked = -1;
+    // Avoid giving this VM two vCPUs on one hardware thread (self-stacking):
+    // real VMMs pin a VM's vCPU threads to distinct pCPUs whenever they fit,
+    // and self-stacked siblings would only halve each other.
+    for (int pass = 0; pass < 2 && picked < 0; ++pass) {
+      for (int step = 0; step < n; ++step) {
+        int t = (cursor + step) % n;
+        if (host->thread_commits[static_cast<size_t>(t)] >= ceiling) {
+          continue;
+        }
+        if (pass == 0 && std::find(tids.begin(), tids.end(), t) != tids.end()) {
+          continue;
+        }
+        picked = t;
+        cursor = (t + 1) % n;
+        break;
+      }
+    }
+    if (picked < 0) {
+      picked = 0;
+      for (int t = 1; t < n; ++t) {
+        if (host->thread_commits[static_cast<size_t>(t)] <
+            host->thread_commits[static_cast<size_t>(picked)]) {
+          picked = t;
+        }
+      }
+    }
+    host->thread_commits[static_cast<size_t>(picked)] += 1;
+    tids.push_back(picked);
+  }
+  // Advance one extra slot so successive footprints interleave even when the
+  // VM size divides the thread count (4-vCPU VMs on 8 threads would
+  // otherwise tile into aligned, internally-uniform chunks).
+  host->reserve_cursor = (cursor + 1) % n;
+  host->committed_vcpus += vcpus;
+  return tids;
+}
+
+// Returns the reserved commits; stamps idle_since = `now` when the host
+// empties (the idle power-down clock).
+void ReleaseHostCommits(ClusterHost* host, const std::vector<HwThreadId>& tids, TimeNs now) {
+  for (HwThreadId tid : tids) {
+    host->thread_commits[static_cast<size_t>(tid)] -= 1;
+    VSCHED_CHECK(host->thread_commits[static_cast<size_t>(tid)] >= 0);
+  }
+  host->committed_vcpus -= static_cast<int>(tids.size());
+  VSCHED_CHECK(host->committed_vcpus >= 0);
+  if (host->committed_vcpus == 0) {
+    host->idle_since = now;
+  }
+}
+
+// vCPU commitments a host accepts: hardware threads x overcommit.
+int FleetCapacityVcpus(const FleetSpec& spec, int num_threads) {
+  return static_cast<int>(static_cast<double>(num_threads) * spec.overcommit);
+}
+
+// Hosts carrying machine-level chaos when a fault plan is armed: a
+// deterministic quarter of the fleet, by global host id, so the set is
+// identical however hosts are partitioned into cells.
+bool FleetChaosHost(int host_id) { return host_id % 4 == 0; }
+
+// Hosts that get a fault injector for `plan`: adversarial co-tenant plans
+// (src/adversary/) put one attacker on EVERY host — the adversary-fleet
+// protocol — while stochastic chaos keeps the quarter-fleet placement.
+bool FleetInjectorHost(int host_id, const FaultPlan& plan) {
+  if (plan.adversary.active()) {
+    return true;  // one adversarial tenant per host
+  }
+  return FleetChaosHost(host_id);
+}
+
+}  // namespace
 
 ShardedFleet::ShardedFleet(FleetSpec spec, uint64_t seed, VSchedOptions guest_options, int shards,
                            const FaultPlan* fault_plan, bool tickless)
@@ -87,6 +186,9 @@ ShardedFleet::ShardedFleet(FleetSpec spec, uint64_t seed, VSchedOptions guest_op
     if (fault_plan != nullptr && !fault_plan->Empty()) {
       for (auto& host : cell->hosts) {
         if (FleetInjectorHost(host->id, *fault_plan)) {
+          // No VM is bound: bandwidth jitter and probe chaos stay off; steal
+          // bursts, stressor storms, frequency droops, and adversarial
+          // co-tenants hit the machine.
           cell->injectors.push_back(std::make_unique<FaultInjector>(
               cell->sim.get(), host->machine.get(), /*vm=*/nullptr, *fault_plan));
         }
@@ -104,11 +206,10 @@ ShardedFleet::~ShardedFleet() {
   if (started_ && !finished_) {
     // An aborted run (budget trip mid-window) still tears tenants down in
     // deterministic order and freezes totals.
-    TimeNs now = 0;
     for (const auto& cell : cells_) {
-      now = std::max(now, cell->sim->now());
+      now_ = std::max(now_, cell->sim->now());
     }
-    Finish(now);
+    Finish();
   }
 }
 
@@ -142,8 +243,8 @@ int ShardedFleet::hosts_on() const {
 }
 
 std::vector<HostLoadView> ShardedFleet::LoadViews() const {
-  // Global host-id order (cell-major): identical to the sequential engine's
-  // view order, so placement policies see the same candidate sequence.
+  // Global host-id order (cell-major), so placement policies see the same
+  // candidate sequence however the hosts are partitioned into cells.
   std::vector<HostLoadView> views;
   views.reserve(static_cast<size_t>(spec_.hosts));
   int capacity = CapacityVcpus();
@@ -202,43 +303,47 @@ void ShardedFleet::ScheduleArrivals(TimeNs start) {
 }
 
 void ShardedFleet::Run(TimeNs horizon) {
-  VSCHED_CHECK_MSG(!started_, "ShardedFleet::Run is single-shot");
-  started_ = true;
-  start_time_ = 0;
-  last_sample_ = 0;
-  for (auto& cell : cells_) {
-    for (auto& host : cell->hosts) {
-      host->idle_since = start_time_;
-    }
-    PerfCounters::Scope scope(&cell->counters);
-    for (auto& injector : cell->injectors) {
-      injector->Start();
-    }
-  }
-  ScheduleArrivals(start_time_);
+  RunUntil(horizon);
+  Finish();
+}
 
-  // The window loop. At each barrier every cell is quiesced at exactly `t`;
-  // the final barrier runs at the horizon itself, mirroring the sequential
-  // engine where RunUntil(horizon) still executes events due at the horizon.
-  TimeNs t = start_time_;
-  for (;;) {
-    BarrierPhase(t);
-    if (t >= horizon) {
-      break;
+void ShardedFleet::RunUntil(TimeNs deadline) {
+  VSCHED_CHECK_MSG(!finished_, "ShardedFleet::RunUntil after Finish");
+  if (!started_) {
+    started_ = true;
+    start_time_ = 0;
+    now_ = start_time_;
+    last_sample_ = start_time_;
+    for (auto& cell : cells_) {
+      for (auto& host : cell->hosts) {
+        host->idle_since = start_time_;
+      }
+      PerfCounters::Scope scope(&cell->counters);
+      for (auto& injector : cell->injectors) {
+        injector->Start();
+      }
     }
-    TimeNs next = std::min(t + window_, horizon);
-    RunCellsUntil(next);
-    t = next;
+    ScheduleArrivals(start_time_);
+    BarrierPhase(now_);
   }
-  Finish(horizon);
+
+  // The window loop. At each barrier every cell is quiesced at exactly
+  // `now_`. Windows end on the W grid; a deadline off the grid gets a barrier
+  // of its own, so events due at the deadline itself still execute, and the
+  // next call resumes toward the next grid point.
+  while (now_ < deadline) {
+    TimeNs next = std::min(NextBarrierAtOrAfter(now_ + 1), deadline);
+    RunCellsUntil(next);
+    now_ = next;
+    BarrierPhase(now_);
+  }
 }
 
 void ShardedFleet::BarrierPhase(TimeNs now) {
   mailbox_.DrainUpTo(now);
-  // Same cadence as the sequential engine's Every(): first fire at one full
-  // period, then every period. The control tick runs after the mailbox so
-  // consolidation sees arrivals/boots/commits already applied at this
-  // instant.
+  // The control loop's cadence: first tick at one full period, then every
+  // period. The control tick runs after the mailbox so consolidation sees
+  // arrivals/boots/commits already applied at this instant.
   if (now > start_time_ && (now - start_time_) % spec_.control_period == 0) {
     ControlTick(now);
   }
@@ -340,6 +445,11 @@ bool ShardedFleet::TryPlace(TenantVm* tenant, TimeNs now) {
     tenant->app = std::make_unique<LatencyApp>(&tenant->vm->kernel(), app);
     tenant->app->Start();
     if (spec_.background_tasks_per_vm > 0) {
+      // Best-effort work co-located inside the service VM (the paper's §2
+      // restricted-capacity regime). SCHED_IDLE yields instantly to the
+      // latency workers *in the guest*, but the spinning keeps draining the
+      // host bandwidth quota, so vCPUs go inactive in a way guest CFS
+      // cannot observe at wakeup-placement time — vact can.
       TaskParallelParams bg;
       bg.name = tenant->name + "/bg";
       bg.threads = spec_.background_tasks_per_vm;
@@ -371,6 +481,8 @@ void ShardedFleet::PlacePending(TimeNs now) {
 }
 
 void ShardedFleet::BootHostsIfNeeded(TimeNs now) {
+  // Reactive provisioning: boot Off hosts (lowest id first) until the
+  // committed capacity of On + Booting hosts covers the pending demand.
   int need = static_cast<int>(pending_.size()) * spec_.vcpus_per_vm;
   if (need == 0) {
     return;
@@ -417,6 +529,8 @@ void ShardedFleet::ControlTick(TimeNs now) {
   BootHostsIfNeeded(now);
   MaybeConsolidate(now);
 
+  // Idle power-down: an On host with no commitments for idle_shutdown_after
+  // powers off, as long as min_hosts_on powered hosts remain.
   int on = hosts_on();
   for (auto& cell : cells_) {
     for (auto& host : cell->hosts) {
@@ -468,8 +582,11 @@ void ShardedFleet::SampleEnergyAndUtil(TimeNs now) {
 }
 
 void ShardedFleet::MaybeConsolidate(TimeNs now) {
-  // Source selection scans the whole fleet, like the sequential engine; the
-  // destination is confined to the source's *cell*. The cell is the
+  // Drain the least-committed On host whose load ratio sits in
+  // (0, consolidate_below]: live-migrate its lowest-id tenant to a strictly
+  // busier host. One migration start per tick keeps the churn bounded and
+  // the event trace easy to audit. Source selection scans the whole fleet;
+  // the destination is confined to the source's *cell*. The cell is the
   // migration domain (rack locality): a live-migrating VM's pending events
   // and timers stay inside one cell Simulation, which is what makes the
   // copy/downtime/commit phases pure barrier-time state changes instead of
@@ -506,9 +623,12 @@ void ShardedFleet::MaybeConsolidate(TimeNs now) {
   if (mover == nullptr) {
     return;  // everything on the host is already in flight
   }
-  // Best-fit within the source's cell: the most-committed host that still
-  // fits the VM (see Fleet::MaybeConsolidate for why best-fit, not the
-  // arrival policy).
+  // Best-fit within the source's cell: the most-committed On host that still
+  // fits the VM, independent of the arrival-placement policy. Asking the
+  // spreading policy here is self-defeating: it returns the *least*
+  // committed host, which is never strictly busier than a drain source, so
+  // consolidation silently never fires (the fleet_small bench once sat at
+  // zero migrations for exactly this reason).
   FleetCell* cell = CellOfHost(source->id);
   ClusterHost* dest = nullptr;
   for (auto& host : cell->hosts) {
@@ -529,6 +649,7 @@ void ShardedFleet::MaybeConsolidate(TimeNs now) {
   mover->mig_dest_host = dest->id;
   mover->mig_dest_tids = ReserveHostThreads(spec_, topology_->num_threads(), dest, spec_.vcpus_per_vm);
   int id = mover->id;
+  // Pre-copy phase: the VM keeps running on the source for the copy latency.
   TimeNs due = now + spec_.migration_copy_latency;  // a multiple of the window
   mailbox_.Post(due, ShardMailbox::kControlPlane, [this, id, due] { OnMigrationDowntime(id, due); });
 }
@@ -611,8 +732,9 @@ void ShardedFleet::DoDepart(TenantVm* tenant, TimeNs now) {
 
 void ShardedFleet::HarvestStats(TenantVm* tenant) {
   // Guest-side detection/containment counters, summed exactly once per
-  // tenant while its VSched is still alive — mirrors Fleet::HarvestStats
-  // (integer sums, so the tenant-id harvest order is merge-order neutral).
+  // tenant (HarvestStats runs at departure or at Finish, never both) while
+  // the tenant's VSched is still alive. All zero unless robust.enabled.
+  // Integer sums, so the tenant-id harvest order is merge-order neutral.
   if (tenant->vsched != nullptr) {
     totals_.pessimistic_publishes += tenant->vsched->pessimistic_publishes();
     if (tenant->vsched->vcap() != nullptr) {
@@ -701,12 +823,13 @@ void ShardedFleet::ReshapeThread(ClusterHost* host, HwThreadId tid) {
   }
 }
 
-void ShardedFleet::Finish(TimeNs now) {
+void ShardedFleet::Finish() {
+  VSCHED_CHECK_MSG(started_, "ShardedFleet::Finish before RunUntil");
   if (finished_) {
     return;
   }
   finished_ = true;
-  SampleEnergyAndUtil(now);
+  SampleEnergyAndUtil(now_);
   for (auto& cell : cells_) {
     PerfCounters::Scope scope(&cell->counters);
     for (auto& injector : cell->injectors) {
@@ -715,9 +838,9 @@ void ShardedFleet::Finish(TimeNs now) {
       totals_.adversary_activations += injector->adversary_activations();
     }
   }
-  // Live-tenant teardown and harvest in tenant-id order, like the sequential
-  // engine: the merge order into the fleet-wide distributions is part of the
-  // deterministic-output contract.
+  // Live-tenant teardown and harvest in tenant-id order: the merge order
+  // into the fleet-wide distributions is part of the deterministic-output
+  // contract.
   for (auto& tenant : tenants_) {
     if (!tenant->placed || tenant->departed) {
       continue;
@@ -730,7 +853,7 @@ void ShardedFleet::Finish(TimeNs now) {
     tenant->vsched.reset();
     tenant->vm.reset();
     ReleaseHostCommits(cell->hosts[static_cast<size_t>(tenant->host_id - cell->first_host)].get(),
-                       tenant->tids, now);
+                       tenant->tids, now_);
   }
   totals_.vms_rejected = static_cast<int>(pending_.size());
 
@@ -752,8 +875,7 @@ void ShardedFleet::Finish(TimeNs now) {
   totals_.energy_j = energy;
 
   // Fold per-cell hot-path tallies into the run's ambient sink (cell order)
-  // so `vsched_run --timings` aggregates sharded runs exactly like
-  // sequential ones.
+  // so `vsched_run --timings` aggregates a fleet like any other run.
   for (const auto& cell : cells_) {
     PerfCounters::Current()->MergeFrom(cell->counters);
   }

@@ -1,6 +1,15 @@
-// Sharded (PDES) fleet execution: the datacenter control plane of
-// src/cluster/fleet.h re-architected as a conservative parallel
-// discrete-event simulation, selected with `vsched_run --fleet --shards=N`.
+// The datacenter control plane: thousands of simulated hosts, each hosting
+// multiple guest VM stacks, run as a conservative parallel discrete-event
+// simulation (`vsched_run --fleet PRESET --shards N`).
+//
+// The model. A ShardedFleet owns ClusterHosts (HostMachine + power state +
+// energy/utilization accounting) and TenantVms (Vm + guest kernel + VSched +
+// an open-loop LatencyApp). VM arrivals are a Poisson process, placement is
+// a pluggable policy (src/cluster/placement.h), provisioning is reactive
+// (hosts boot on demand, idle hosts power down), and consolidation drains
+// under-committed hosts via live migration modeled as a (copy-latency,
+// downtime) pair — during downtime the VM's vCPU threads are paused, which
+// the guest observes as steal.
 //
 // Partitioning. Hosts are grouped into fixed *cells* of
 // FleetSpec::cell_hosts contiguous hosts. Each cell is one logical process:
@@ -27,14 +36,13 @@
 // consolidation decisions whose delayed effects are posted back through the
 // mailbox.
 //
-// Determinism. The JSONL a sharded fleet run emits is byte-identical for
-// every --shards value (the vsched_run_fleet_sharded ctest), the same
-// guarantee class as the runner's --jobs: the coordinator is sequential, the
-// mailbox order is canonical, cells share no mutable state inside a window,
-// and per-cell PerfCounters keep even the hot-path tallies race-free (merged
-// in cell order at Finish). Sharded output is its own deterministic contract
-// — it is not required to byte-match the sequential engine, whose arrivals
-// are not quantized to barriers and whose RNG streams fork from one root.
+// Determinism. A (FleetSpec, seed, options) triple replays byte-identically,
+// and the JSONL a fleet run emits is byte-identical for every --shards value
+// (the vsched_run_fleet_sharded ctest), the same guarantee class as the
+// runner's --jobs: the coordinator is sequential, the mailbox order is
+// canonical, cells share no mutable state inside a window, and per-cell
+// PerfCounters keep even the hot-path tallies race-free (merged in cell
+// order at Finish).
 //
 // See docs/PERF.md ("Sharded fleet execution") for the lookahead derivation
 // and docs/CLUSTER.md for the operator view.
@@ -44,23 +52,105 @@
 #include <deque>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/base/perf_counters.h"
 #include "src/base/thread_pool.h"
 #include "src/base/time.h"
-#include "src/cluster/fleet.h"
 #include "src/cluster/fleet_spec.h"
 #include "src/cluster/placement.h"
 #include "src/core/config.h"
+#include "src/core/vsched.h"
 #include "src/fault/fault_injector.h"
 #include "src/fault/fault_plan.h"
+#include "src/guest/vm.h"
+#include "src/host/machine.h"
 #include "src/sim/rng.h"
 #include "src/sim/shard_mailbox.h"
 #include "src/sim/simulation.h"
 #include "src/stats/stats.h"
+#include "src/workloads/latency_app.h"
+#include "src/workloads/throughput_app.h"
 
 namespace vsched {
+
+enum class HostPower { kOff, kBooting, kOn };
+
+// One physical host plus the control-plane state the fleet keeps about it.
+struct ClusterHost {
+  int id = 0;
+  std::unique_ptr<HostMachine> machine;
+  HostPower power = HostPower::kOff;
+  int committed_vcpus = 0;
+  std::vector<int> thread_commits;  // committed vCPUs per hardware thread
+  // Live occupants per hardware thread as (tenant id, vcpu index) — the
+  // basis for commit-driven bandwidth caps (FleetSpec::cap_period).
+  std::vector<std::vector<std::pair<int, int>>> occupants;
+  // Rotating start position for first-fit thread reservation (see
+  // ReserveHostThreads in sharded_fleet.cc): successive VMs overlap
+  // partially, which is what produces intra-VM vCPU asymmetry.
+  int reserve_cursor = 0;
+  TimeNs idle_since = 0;  // last time committed_vcpus hit zero
+  double energy_j = 0;    // integrated by the control loop
+};
+
+// One tenant: the per-VM simulation stack plus its lifecycle bookkeeping.
+struct TenantVm {
+  int id = 0;
+  std::string name;
+  int host_id = -1;
+  std::vector<HwThreadId> tids;
+  std::unique_ptr<Vm> vm;
+  std::unique_ptr<VSched> vsched;
+  bool batch = false;                       // noisy-neighbor batch tenant
+  std::unique_ptr<LatencyApp> app;          // latency tenants only
+  std::unique_ptr<TaskParallelApp> batch_app;  // batch tenants only
+  // Co-located best-effort (SCHED_IDLE) work inside latency VMs; see
+  // FleetSpec::background_tasks_per_vm.
+  std::unique_ptr<TaskParallelApp> bg_app;
+  TimeNs departs_at = 0;  // 0: lives to the horizon
+  bool placed = false;
+  bool departed = false;
+  bool migrating = false;
+  bool depart_pending = false;  // departure arrived mid-migration
+  // Reserved migration destination (valid while migrating).
+  int mig_dest_host = -1;
+  std::vector<HwThreadId> mig_dest_tids;
+};
+
+// Aggregated fleet outcome; the runner flattens this into RunMetrics keys.
+struct FleetTotals {
+  uint64_t requests = 0;
+  uint64_t slo_violations = 0;
+  double fleet_p50_ns = 0;
+  double fleet_p95_ns = 0;
+  double fleet_p99_ns = 0;
+  double fleet_mean_ns = 0;
+  // Distribution of per-tenant p99s (only tenants that served requests).
+  double tenant_p99_p50_ns = 0;
+  double tenant_p99_p95_ns = 0;
+  double tenant_p99_max_ns = 0;
+  int vms_placed = 0;
+  int vms_rejected = 0;  // still unplaced at the horizon
+  int vms_departed = 0;
+  uint64_t batch_chunks = 0;  // work completed by batch tenants
+  uint64_t migrations = 0;
+  int hosts_booted = 0;
+  int hosts_shutdown = 0;
+  int hosts_on_at_end = 0;
+  double host_util_mean = 0;  // time-weighted mean utilization of On hosts
+  double energy_j = 0;
+  uint64_t fault_applied = 0;
+  // Adversary/robustness aggregates (docs/ROBUSTNESS.md): attacker launches,
+  // tenants whose degradation tracker ever transitioned, and the guest-side
+  // containment counters summed at harvest. All zero on clean fleets and
+  // whenever guests run without robust.enabled.
+  uint64_t adversary_activations = 0;
+  int degraded_tenants = 0;
+  uint64_t pessimistic_publishes = 0;
+  uint64_t quarantine_events = 0;
+};
 
 // One logical process of the sharded engine: a contiguous host range behind
 // a private Simulation. Exactly one thread touches a cell inside any window;
@@ -81,7 +171,10 @@ class ShardedFleet {
  public:
   // `shards` is the worker-thread count (>= 1); 1 runs cells sequentially on
   // the calling thread. The cell partition comes from spec.cell_hosts and is
-  // independent of `shards`.
+  // independent of `shards`. `guest_options` selects the per-guest scheduler
+  // stack (Cfs vs Full — the head-to-head axis). `fault_plan` (may be null)
+  // arms machine-level chaos on every fourth host, or one adversarial
+  // co-tenant on every host for an adversary plan, with no VM bound.
   ShardedFleet(FleetSpec spec, uint64_t seed, VSchedOptions guest_options, int shards,
                const FaultPlan* fault_plan = nullptr, bool tickless = false);
   ~ShardedFleet();
@@ -89,10 +182,21 @@ class ShardedFleet {
   ShardedFleet(const ShardedFleet&) = delete;
   ShardedFleet& operator=(const ShardedFleet&) = delete;
 
-  // Runs the whole experiment: arrival schedule, window loop to `horizon`,
-  // stats harvest. Call once. Throws SimBudgetExceeded (deterministically,
-  // lowest cell id first) when a per-cell event budget trips.
+  // Runs the whole experiment: RunUntil(horizon), then Finish(). Call once.
+  // Throws SimBudgetExceeded (deterministically, lowest cell id first) when a
+  // per-cell event budget trips.
   void Run(TimeNs horizon);
+
+  // Advances every cell to `deadline` and runs the barrier there. The first
+  // call draws the arrival schedule and starts the fault injectors; later
+  // calls continue from the previous deadline. Between calls every cell is
+  // quiesced, so host and tenant state may be read. Stepping on the window
+  // grid gives the same totals as one call to the final deadline.
+  void RunUntil(TimeNs deadline);
+
+  // Stops every live tenant, harvests its latency distribution, and freezes
+  // totals(). Call once, after RunUntil.
+  void Finish();
 
   const FleetTotals& totals() const { return totals_; }
   const FleetSpec& spec() const { return spec_; }
@@ -118,7 +222,6 @@ class ShardedFleet {
   void ScheduleArrivals(TimeNs start);
   void BarrierPhase(TimeNs now);
   void RunCellsUntil(TimeNs deadline);
-  void Finish(TimeNs now);
 
   void OnVmArrival(int tenant_id, TimeNs now);
   bool TryPlace(TenantVm* tenant, TimeNs now);
@@ -134,6 +237,8 @@ class ShardedFleet {
   void DoDepart(TenantVm* tenant, TimeNs now);
   void HarvestStats(TenantVm* tenant);
   void StopApps(TenantVm* tenant);
+  // Registers/unregisters a placed tenant's vCPUs on its host's threads and
+  // re-applies the commit-driven bandwidth caps of every touched thread.
   void OccupyThreads(TenantVm* tenant);
   void VacateThreads(TenantVm* tenant);
   void ReshapeThread(ClusterHost* host, HwThreadId tid);
@@ -160,6 +265,7 @@ class ShardedFleet {
   std::unique_ptr<ThreadPool> pool_;  // null when shards_ == 1
 
   TimeNs start_time_ = 0;
+  TimeNs now_ = 0;  // the last barrier every cell has reached
   TimeNs last_sample_ = 0;
   double util_integral_ = 0;     // sum over On hosts of util * dt
   double on_time_integral_ = 0;  // sum over On hosts of dt

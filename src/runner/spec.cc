@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "src/base/check.h"
-#include "src/cluster/fleet.h"
 #include "src/cluster/fleet_spec.h"
 #include "src/cluster/sharded_fleet.h"
 #include "src/fault/fault_plan.h"
@@ -336,15 +335,18 @@ RunMetrics ExecuteVcpuLatencyRun(const RunSpec& spec) {
   return metrics;
 }
 
-// Cluster-scale fleet protocol (src/cluster/): thousands of hosts under one
-// Simulation; spec.workload names a FleetSpec preset. The whole horizon is
-// measured — a fleet ramps from empty (Poisson arrivals), so there is no
-// steady state to warm into, and per-tenant distributions must cover each
-// tenant's whole life to make SLO-violation counts meaningful.
+// Cluster-scale fleet protocol (src/cluster/): thousands of hosts on the
+// sharded fleet engine; spec.workload names a FleetSpec preset. The whole
+// horizon is measured — a fleet ramps from empty (Poisson arrivals), so
+// there is no steady state to warm into, and per-tenant distributions must
+// cover each tenant's whole life to make SLO-violation counts meaningful.
 RunMetrics ExecuteFleetRun(const RunSpec& spec) {
   FleetSpec fleet_spec;
   if (!LookupFleetSpec(spec.workload, &fleet_spec)) {
     throw std::invalid_argument("unknown fleet preset: " + spec.workload);
+  }
+  if (spec.shards < 1) {
+    throw std::invalid_argument("fleet shards must be >= 1, got " + std::to_string(spec.shards));
   }
   FaultPlan plan;
   bool chaos = ResolveFaultPlan(spec, &plan);
@@ -357,37 +359,17 @@ RunMetrics ExecuteFleetRun(const RunSpec& spec) {
     guest_options.robust.enabled = true;
   }
 
-  // spec.shards selects the execution engine, not the experiment: the
-  // sharded PDES engine's totals are byte-identical for every shards >= 1,
-  // so rows only record the engine family via their values, never the count.
-  FleetTotals sharded_totals;
-  const FleetTotals* totals = nullptr;
-  std::unique_ptr<Simulation> sim;
-  std::unique_ptr<Fleet> fleet;
-  std::unique_ptr<ShardedFleet> sharded;
-  if (spec.shards >= 1) {
-    sharded = std::make_unique<ShardedFleet>(fleet_spec, spec.seed, guest_options,
-                                             spec.shards, chaos ? &plan : nullptr, spec.tickless);
-    if (spec.event_budget > 0) {
-      sharded->SetEventBudgetPerCell(spec.event_budget);
-    }
-    sharded->Run(horizon);
-    sharded_totals = sharded->totals();
-    totals = &sharded_totals;
-  } else {
-    sim = std::make_unique<Simulation>(spec.seed);
-    if (spec.event_budget > 0) {
-      sim->SetEventBudget(spec.event_budget);
-    }
-    fleet = std::make_unique<Fleet>(sim.get(), fleet_spec, guest_options,
-                                    chaos ? &plan : nullptr, spec.tickless);
-    fleet->Start();
-    sim->RunFor(horizon);
-    fleet->Finish();
-    totals = &fleet->totals();
+  // spec.shards is the worker-thread count, not the experiment: fleet totals
+  // are byte-identical for every shards >= 1. The event budget applies to
+  // each cell's Simulation.
+  ShardedFleet fleet(fleet_spec, spec.seed, guest_options, spec.shards, chaos ? &plan : nullptr,
+                     spec.tickless);
+  if (spec.event_budget > 0) {
+    fleet.SetEventBudgetPerCell(spec.event_budget);
   }
+  fleet.Run(horizon);
 
-  const FleetTotals& t = *totals;
+  const FleetTotals& t = fleet.totals();
   RunMetrics metrics;
   metrics.Set("completed", static_cast<double>(t.requests));
   metrics.Set("throughput",

@@ -81,14 +81,12 @@ struct RunSpec {
   //   1  force robust on (measure detection and mitigation), "/robust=on".
   int robust_override = -1;
 
-  // Fleet execution engine: 0 runs the sequential control plane
-  // (src/cluster/fleet.h); >= 1 runs the sharded PDES engine
-  // (src/cluster/sharded_fleet.h) with this many worker threads. NOT part of
-  // Id(): the sharded engine's output is byte-identical for every value
-  // >= 1 (the vsched_run_fleet_sharded ctest), so `shards` is an execution
+  // Worker threads of the fleet engine (src/cluster/sharded_fleet.h); must
+  // be >= 1. NOT part of Id(): fleet output is byte-identical for every
+  // value (the vsched_run_fleet_sharded ctest), so `shards` is an execution
   // detail like --jobs, not an experiment axis. Ignored by non-fleet
   // families.
-  int shards = 0;
+  int shards = 1;
 
   // Human/filterable identity, e.g. "fig18_rcvm/canneal/vsched" or
   // "fig02/img-dnn/cfs/lat=4ms+be".

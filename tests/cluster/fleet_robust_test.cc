@@ -6,12 +6,10 @@
 #include <gtest/gtest.h>
 
 #include "src/base/time.h"
-#include "src/cluster/fleet.h"
 #include "src/cluster/fleet_spec.h"
 #include "src/cluster/sharded_fleet.h"
 #include "src/core/config.h"
 #include "src/fault/fault_plan.h"
-#include "src/sim/simulation.h"
 
 namespace vsched {
 namespace {
@@ -25,7 +23,7 @@ FleetSpec Tiny() {
 }
 
 // Guest stack with the anti-evasion layer armed. The probing cadence is
-// taken from the FleetSpec (the Fleet ctor overrides the vcap/vact knobs),
+// taken from the FleetSpec (the fleet ctor overrides the vcap/vact knobs),
 // so only the robust switch matters here.
 VSchedOptions RobustGuest() {
   VSchedOptions options = VSchedOptions::Full();
@@ -54,11 +52,8 @@ FaultPlan Plan(const std::string& name) {
 
 FleetTotals RunFleet(const FleetSpec& spec, const VSchedOptions& options,
                      const FaultPlan* plan, TimeNs horizon = SecToNs(4)) {
-  Simulation sim(kSeed);
-  Fleet fleet(&sim, spec, options, plan);
-  fleet.Start();
-  sim.RunFor(horizon);
-  fleet.Finish();
+  ShardedFleet fleet(spec, kSeed, options, /*shards=*/1, plan);
+  fleet.Run(horizon);
   return fleet.totals();
 }
 

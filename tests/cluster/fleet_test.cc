@@ -1,5 +1,5 @@
-#include "src/cluster/fleet.h"
-
+// Fleet lifecycle, replay and placement on the fleet engine at one shard.
+// tests/cluster/sharded_fleet_test.cc covers the shard-count contract.
 #include <algorithm>
 #include <vector>
 
@@ -7,10 +7,10 @@
 
 #include "src/base/time.h"
 #include "src/cluster/fleet_spec.h"
+#include "src/cluster/sharded_fleet.h"
 #include "src/core/config.h"
 #include "src/core/vsched.h"
 #include "src/fault/fault_plan.h"
-#include "src/sim/simulation.h"
 
 namespace vsched {
 namespace {
@@ -27,11 +27,8 @@ FleetSpec Tiny() {
 FleetTotals RunFleet(const FleetSpec& spec, const VSchedOptions& options,
                      TimeNs horizon, uint64_t seed = kSeed,
                      const FaultPlan* plan = nullptr) {
-  Simulation sim(seed);
-  Fleet fleet(&sim, spec, options, plan);
-  fleet.Start();
-  sim.RunFor(horizon);
-  fleet.Finish();
+  ShardedFleet fleet(spec, seed, options, /*shards=*/1, plan);
+  fleet.Run(horizon);
   return fleet.totals();
 }
 
@@ -74,8 +71,8 @@ TEST(Fleet, SameSeedReplaysIdentically) {
 TEST(Fleet, DifferentSeedsDiffer) {
   FleetTotals a = RunFleet(Tiny(), VSchedOptions::Cfs(), MsToNs(600), 1);
   FleetTotals b = RunFleet(Tiny(), VSchedOptions::Cfs(), MsToNs(600), 2);
-  // Arrival times, lifetimes, and service draws all come from the fleet's
-  // forked RNG stream, so distinct seeds must not collide.
+  // Arrival times, lifetimes, and service draws all come from RNG streams
+  // forked from the seed, so distinct seeds must not collide.
   EXPECT_NE(a.requests, b.requests);
 }
 
@@ -109,13 +106,11 @@ TEST(Fleet, TenantDepartsMidFullProbe) {
   FleetSpec spec = Tiny();
   spec.vms = 40;
   spec.arrival_window = MsToNs(600);
-  Simulation sim(kSeed);
-  Fleet fleet(&sim, spec, options);
-  fleet.Start();
+  ShardedFleet fleet(spec, kSeed, options, /*shards=*/1);
   std::vector<bool> probing;
   int departed_mid_probe = 0;
-  for (int step = 0; step < 1000; ++step) {
-    sim.RunFor(MsToNs(1));
+  for (int step = 1; step <= 1000; ++step) {
+    fleet.RunUntil(MsToNs(step));
     probing.resize(static_cast<size_t>(fleet.num_tenants()), false);
     for (int id = 0; id < fleet.num_tenants(); ++id) {
       const TenantVm& tenant = fleet.tenant(id);
@@ -133,10 +128,8 @@ TEST(Fleet, TenantDepartsMidFullProbe) {
 
 // Returns the largest per-host committed-vCPU count at the horizon.
 int MaxCommitted(const FleetSpec& spec, uint64_t seed = kSeed) {
-  Simulation sim(seed);
-  Fleet fleet(&sim, spec, VSchedOptions::Cfs());
-  fleet.Start();
-  sim.RunFor(MsToNs(400));
+  ShardedFleet fleet(spec, seed, VSchedOptions::Cfs(), /*shards=*/1);
+  fleet.RunUntil(MsToNs(400));
   // Sample commits before Finish(): teardown vacates every tenant's threads.
   int max_committed = 0;
   for (int id = 0; id < spec.hosts; ++id) {

@@ -26,22 +26,32 @@ FleetTotals RunSharded(const FleetSpec& spec, const VSchedOptions& options, int 
   return fleet.totals();
 }
 
+// Every FleetTotals field, the floating-point ones bit for bit.
 void ExpectTotalsEqual(const FleetTotals& a, const FleetTotals& b) {
   EXPECT_EQ(a.requests, b.requests);
   EXPECT_EQ(a.slo_violations, b.slo_violations);
   EXPECT_EQ(a.fleet_p50_ns, b.fleet_p50_ns);
+  EXPECT_EQ(a.fleet_p95_ns, b.fleet_p95_ns);
   EXPECT_EQ(a.fleet_p99_ns, b.fleet_p99_ns);
   EXPECT_EQ(a.fleet_mean_ns, b.fleet_mean_ns);
+  EXPECT_EQ(a.tenant_p99_p50_ns, b.tenant_p99_p50_ns);
+  EXPECT_EQ(a.tenant_p99_p95_ns, b.tenant_p99_p95_ns);
   EXPECT_EQ(a.tenant_p99_max_ns, b.tenant_p99_max_ns);
   EXPECT_EQ(a.vms_placed, b.vms_placed);
+  EXPECT_EQ(a.vms_rejected, b.vms_rejected);
   EXPECT_EQ(a.vms_departed, b.vms_departed);
-  EXPECT_EQ(a.migrations, b.migrations);
   EXPECT_EQ(a.batch_chunks, b.batch_chunks);
+  EXPECT_EQ(a.migrations, b.migrations);
   EXPECT_EQ(a.hosts_booted, b.hosts_booted);
   EXPECT_EQ(a.hosts_shutdown, b.hosts_shutdown);
+  EXPECT_EQ(a.hosts_on_at_end, b.hosts_on_at_end);
   EXPECT_EQ(a.host_util_mean, b.host_util_mean);
   EXPECT_EQ(a.energy_j, b.energy_j);
   EXPECT_EQ(a.fault_applied, b.fault_applied);
+  EXPECT_EQ(a.adversary_activations, b.adversary_activations);
+  EXPECT_EQ(a.degraded_tenants, b.degraded_tenants);
+  EXPECT_EQ(a.pessimistic_publishes, b.pessimistic_publishes);
+  EXPECT_EQ(a.quarantine_events, b.quarantine_events);
 }
 
 TEST(ShardMailbox, DrainsInCanonicalDueOriginSeqOrder) {
@@ -87,9 +97,10 @@ TEST(ShardedFleet, LookaheadWindowIsControlLatencyGcd) {
 TEST(ShardedFleet, TinyLifecycleCoversPlacementChurnAndPower) {
   FleetTotals t = RunSharded(Tiny(), VSchedOptions::Cfs(), /*shards=*/2, MsToNs(1000));
 
-  // Same lifecycle coverage the sequential engine's tiny smoke pins: all
-  // VMs placed, churn departs nearly all of them, and consolidation,
-  // power-down, and real traffic all occur.
+  // The lifecycle coverage Fleet.TinyLifecycleCoversPlacementChurnAndPower
+  // pins at one shard, here across two worker threads: all VMs placed,
+  // churn departs nearly all of them, and consolidation, power-down, and
+  // real traffic all occur.
   EXPECT_EQ(t.vms_placed, 10);
   EXPECT_EQ(t.vms_rejected, 0);
   EXPECT_GE(t.vms_departed, 8);
@@ -119,6 +130,27 @@ TEST(ShardedFleet, ChaosReplayIsIdenticalAcrossShardCounts) {
   FleetTotals four = RunSharded(Tiny(), VSchedOptions::Full(), 4, MsToNs(800), kSeed, &plan);
   EXPECT_GT(one.fault_applied, 0u);
   ExpectTotalsEqual(one, four);
+}
+
+TEST(ShardedFleet, StepwiseRunMatchesOneShot) {
+  // Callers that sample fleet state mid-run (the 1 ms probe sampler in
+  // fleet_test.cc) step RunUntil along the window grid; that must not move
+  // a single total against Run(horizon).
+  FaultPlan plan;
+  ASSERT_TRUE(LookupFaultPlan("everything", &plan));
+  const FaultPlan* plans[] = {nullptr, &plan};
+  for (const FaultPlan* chaos : plans) {
+    SCOPED_TRACE(chaos == nullptr ? "clean" : "chaos");
+    FleetTotals one_shot = RunSharded(Tiny(), VSchedOptions::Full(), 1, MsToNs(800), kSeed, chaos);
+    ShardedFleet fleet(Tiny(), kSeed, VSchedOptions::Full(), /*shards=*/1, chaos);
+    for (TimeNs t = MsToNs(10); t <= MsToNs(800); t += MsToNs(10)) {
+      fleet.RunUntil(t);
+    }
+    fleet.Finish();
+    EXPECT_GT(one_shot.requests, 0u);
+    EXPECT_GT(one_shot.migrations, 0u);
+    ExpectTotalsEqual(fleet.totals(), one_shot);
+  }
 }
 
 TEST(ShardedFleet, DifferentSeedsDiffer) {

@@ -96,6 +96,24 @@ TEST(RunnerTest, FailingRunIsRetriedThenReported) {
   EXPECT_NE(results[0].error.find("unknown workload"), std::string::npos);
 }
 
+TEST(RunnerTest, FleetShardsBelowOneIsAFailedRow) {
+  // A hand-built RunSpec with no worker threads is a bad spec like an
+  // unknown preset: a failed row, not an abort inside the fleet engine.
+  ExperimentSpec sweep = FleetSweep("tiny", /*seed=*/0, /*warmup=*/0, /*measure=*/MsToNs(50));
+  ASSERT_FALSE(sweep.runs.empty());
+  for (RunSpec& run : sweep.runs) {
+    run.shards = 0;
+  }
+  RunnerOptions options;
+  options.jobs = 1;
+  std::vector<RunResult> results = Runner(options).Run(sweep);
+  ASSERT_EQ(results.size(), sweep.runs.size());
+  for (const RunResult& result : results) {
+    EXPECT_FALSE(result.ok);
+    EXPECT_NE(result.error.find("shards"), std::string::npos) << result.error;
+  }
+}
+
 TEST(RunnerTest, ProgressHookFiresOncePerRun) {
   ExperimentSpec sweep = SmallSweep();
   int fired = 0;

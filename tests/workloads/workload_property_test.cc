@@ -1,6 +1,8 @@
 // Property tests on the workload models: throughput scaling, queueing
 // sanity, pipeline bottleneck laws, closed-loop conservation, and catalog
 // coverage under both reference VMs.
+#include <ostream>
+
 #include <gtest/gtest.h>
 
 #include "src/guest/vm.h"
@@ -116,6 +118,12 @@ struct PipelineCase {
   TimeNs bottleneck;
   int workers;
 };
+
+// ctest names each case after this text. Without it gtest prints the raw
+// bytes, padding included, and the name changes from one build to the next.
+void PrintTo(const PipelineCase& c, std::ostream* os) {
+  *os << "bottleneck_us=" << c.bottleneck / 1000 << " workers=" << c.workers;
+}
 
 class PipelineBottleneck : public ::testing::TestWithParam<PipelineCase> {};
 
