@@ -390,6 +390,7 @@ int main(int argc, char** argv) {
     uint64_t timer_fires = 0;
     uint64_t timer_cascades = 0;
     uint64_t ticks_elided = 0;
+    uint64_t barriers = 0;
     for (const RunResult& result : results) {
       events += result.counters.events_executed;
       cb_heap_allocs += result.counters.callback_heap_allocs;
@@ -398,6 +399,7 @@ int main(int argc, char** argv) {
       timer_fires += result.counters.timer_fires;
       timer_cascades += result.counters.timer_cascades;
       ticks_elided += result.counters.ticks_elided;
+      barriers += result.counters.fleet_barriers;
     }
     double secs = static_cast<double>(elapsed.count()) / 1e9;
     const uint64_t dispatches = events + timer_fires;
@@ -417,6 +419,10 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(timer_cascades),
                  static_cast<unsigned long long>(ticks_elided),
                  cli.tickless ? " (--tickless)" : "");
+    if (barriers > 0) {
+      std::fprintf(human, "fleet: %llu barriers (all cells stopped for the coordinator)\n",
+                   static_cast<unsigned long long>(barriers));
+    }
   }
   return failed == 0 ? 0 : 1;
 }

@@ -4,7 +4,11 @@
 #include <future>
 #include <numeric>
 #include <utility>
+#ifdef __GLIBC__
+#include <malloc.h>
+#endif
 
+#include "src/base/audit.h"
 #include "src/base/check.h"
 #include "src/guest/guest_kernel.h"
 
@@ -108,6 +112,43 @@ bool FleetInjectorHost(int host_id, const FaultPlan& plan) {
   return FleetChaosHost(host_id);
 }
 
+// Runs one cell to `barrier`, applying its inbox on the way (see
+// "Synchronization" in sharded_fleet.h).
+void RunCell(FleetCell* cell, TimeNs barrier) {
+  PerfCounters::Scope scope(&cell->counters);
+  // Actions planned for the instant the cell already stands at (a control
+  // tick's placements) apply before anything at that instant runs.
+  cell->inbox.DrainUpTo(cell->sim->now());
+  while (cell->sim->now() < barrier) {
+    TimeNs at = std::min(cell->inbox.next_due(), barrier);
+    cell->sim->RunUntil(at);
+    cell->inbox.DrainUpTo(at);
+  }
+}
+
+TenantHarvest TakeHarvest(const TenantVm& tenant) {
+  // Guest-side detection/containment counters are read while the tenant's
+  // VSched is still alive; all zero unless robust.enabled.
+  TenantHarvest harvest;
+  if (tenant.vsched != nullptr) {
+    harvest.pessimistic_publishes = tenant.vsched->pessimistic_publishes();
+    if (tenant.vsched->vcap() != nullptr) {
+      harvest.quarantine_events = static_cast<uint64_t>(tenant.vsched->vcap()->quarantine_events());
+    }
+    harvest.degraded = tenant.vsched->degradation().transitions() > 0;
+  }
+  if (tenant.batch_app != nullptr) {
+    harvest.batch_chunks += tenant.batch_app->chunks_done();
+  }
+  if (tenant.bg_app != nullptr) {
+    harvest.batch_chunks += tenant.bg_app->chunks_done();
+  }
+  if (tenant.app != nullptr) {
+    harvest.latency = tenant.app->end_to_end();
+  }
+  return harvest;
+}
+
 }  // namespace
 
 ShardedFleet::ShardedFleet(FleetSpec spec, uint64_t seed, VSchedOptions guest_options, int shards,
@@ -122,17 +163,16 @@ ShardedFleet::ShardedFleet(FleetSpec spec, uint64_t seed, VSchedOptions guest_op
   VSCHED_CHECK(spec_.cell_hosts > 0);
   VSCHED_CHECK(shards_ >= 1);
 
-  // Conservative lookahead: no control-plane interaction takes effect sooner
-  // than the gcd of the control-plane latencies, and each of them is a
-  // multiple of it — so every delayed action lands exactly on a barrier. A
-  // spec whose latencies are mutually prime would grind the window toward
-  // single-event lockstep; the floor catches that at construction instead of
-  // letting the engine crawl.
+  // The control plane's clock resolution: the gcd of its latencies. Arrivals
+  // and departures are quantized up to this grid and every delay is a
+  // multiple of it, so every control-plane action lands on a grid point. A
+  // spec whose latencies are mutually prime would grind the grid toward
+  // nanoseconds; the floor catches that at construction.
   window_ = std::gcd(spec_.control_period, spec_.boot_delay);
   window_ = std::gcd(window_, spec_.migration_copy_latency);
   window_ = std::gcd(window_, spec_.migration_downtime);
   VSCHED_CHECK_MSG(window_ >= UsToNs(100),
-                   "fleet control-plane latencies give a sub-100us lookahead window");
+                   "fleet control-plane latencies give a sub-100us control-plane grid");
 
   Rng root(seed);
   control_rng_ = root.Fork();
@@ -204,12 +244,24 @@ ShardedFleet::ShardedFleet(FleetSpec spec, uint64_t seed, VSchedOptions guest_op
 
 ShardedFleet::~ShardedFleet() {
   if (started_ && !finished_) {
-    // An aborted run (budget trip mid-window) still tears tenants down in
+    // An aborted run (budget trip mid-phase) still tears tenants down in
     // deterministic order and freezes totals.
     for (const auto& cell : cells_) {
       now_ = std::max(now_, cell->sim->now());
     }
     Finish();
+  }
+  if (pool_ != nullptr) {
+    // The cells built their tenant stacks on the pool's threads, so that
+    // memory sits in those threads' malloc arenas, which nothing allocates
+    // from once the pool is gone. Free it here and hand it back, or a
+    // process that goes on working after a sharded fleet keeps it resident.
+    pool_.reset();
+    tenants_.clear();
+    cells_.clear();
+#ifdef __GLIBC__
+    malloc_trim(0);
+#endif
   }
 }
 
@@ -224,6 +276,11 @@ const FleetCell* ShardedFleet::CellOfHost(int host_id) const {
 const ClusterHost& ShardedFleet::host(int id) const {
   const FleetCell* cell = CellOfHost(id);
   return *cell->hosts[static_cast<size_t>(id - cell->first_host)];
+}
+
+ClusterHost* ShardedFleet::MutableHost(int host_id) {
+  FleetCell* cell = CellOfHost(host_id);
+  return cell->hosts[static_cast<size_t>(host_id - cell->first_host)].get();
 }
 
 int ShardedFleet::CapacityVcpus() const {
@@ -261,8 +318,12 @@ std::vector<HostLoadView> ShardedFleet::LoadViews() const {
   return views;
 }
 
-TimeNs ShardedFleet::NextBarrierAtOrAfter(TimeNs t) const {
+TimeNs ShardedFleet::WindowCeil(TimeNs t) const {
   return ((t + window_ - 1) / window_) * window_;
+}
+
+TimeNs ShardedFleet::NextControlTickAfter(TimeNs t) const {
+  return start_time_ + ((t - start_time_) / spec_.control_period + 1) * spec_.control_period;
 }
 
 void ShardedFleet::SetEventBudgetPerCell(uint64_t budget) {
@@ -282,9 +343,9 @@ uint64_t ShardedFleet::events_dispatched() const {
 void ShardedFleet::ScheduleArrivals(TimeNs start) {
   // The whole Poisson schedule is drawn up front from the control stream in
   // tenant-id order, then posted through the mailbox. Arrival instants are
-  // quantized up to the next barrier — the placement decision rides the
-  // control-plane RPC, and the barrier grid *is* the control plane's clock
-  // resolution — which keeps every placement a barrier-time action.
+  // quantized up to the window grid — the placement decision rides the
+  // control-plane RPC, and the grid *is* the control plane's clock
+  // resolution.
   double mean_gap = static_cast<double>(spec_.arrival_window) / static_cast<double>(spec_.vms);
   TimeNs at = start;
   for (int i = 0; i < spec_.vms; ++i) {
@@ -292,12 +353,13 @@ void ShardedFleet::ScheduleArrivals(TimeNs start) {
     auto tenant = std::make_unique<TenantVm>();
     tenant->id = i;
     tenant->name = "t" + std::to_string(i);
+    tenant->batch = spec_.batch_every > 0 && i % spec_.batch_every == 0;
     if (spec_.vm_lifetime_mean > 0) {
       tenant->departs_at =
           at + static_cast<TimeNs>(control_rng_.Exponential(static_cast<double>(spec_.vm_lifetime_mean)));
     }
     tenants_.push_back(std::move(tenant));
-    TimeNs due = NextBarrierAtOrAfter(at);
+    TimeNs due = WindowCeil(at);
     mailbox_.Post(due, ShardMailbox::kControlPlane, [this, i, due] { OnVmArrival(i, due); });
   }
 }
@@ -324,42 +386,58 @@ void ShardedFleet::RunUntil(TimeNs deadline) {
       }
     }
     ScheduleArrivals(start_time_);
+    mailbox_.DrainUpTo(now_);
     BarrierPhase(now_);
   }
 
-  // The window loop. At each barrier every cell is quiesced at exactly
-  // `now_`. Windows end on the W grid; a deadline off the grid gets a barrier
-  // of its own, so events due at the deadline itself still execute, and the
-  // next call resumes toward the next grid point.
+  // Barriers fall only on control ticks and on `deadline`. Before each run
+  // phase the coordinator plans the whole stretch (now_, next]: it drains
+  // the mailbox up to `next`, turning every cell effect into an inbox
+  // action, and the cells then apply those actions as they run to `next`.
   while (now_ < deadline) {
-    TimeNs next = std::min(NextBarrierAtOrAfter(now_ + 1), deadline);
-    RunCellsUntil(next);
+    TimeNs next = std::min(NextControlTickAfter(now_), deadline);
+    mailbox_.DrainUpTo(next);
+    RunCells(next);
     now_ = next;
     BarrierPhase(now_);
   }
 }
 
 void ShardedFleet::BarrierPhase(TimeNs now) {
-  mailbox_.DrainUpTo(now);
+  PerfCounters::Current()->fleet_barriers += 1;
   // The control loop's cadence: first tick at one full period, then every
-  // period. The control tick runs after the mailbox so consolidation sees
-  // arrivals/boots/commits already applied at this instant.
+  // period. Every action planned at or before `now` is already applied, so
+  // the tick samples host state after this instant's arrivals, boots,
+  // migration phases and departures, as consolidation expects.
   if (now > start_time_ && (now - start_time_) % spec_.control_period == 0) {
     ControlTick(now);
   }
+  // The barrier ends only once no inbox holds an action due at or before
+  // it: the tick's placements (and the arrivals at t = 0) apply here, at
+  // `now`, before any event at `now` that they schedule can run.
+  bool settle = std::any_of(cells_.begin(), cells_.end(), [now](const auto& cell) {
+    return cell->inbox.next_due() <= now;
+  });
+  if (settle) {
+    RunCells(now);
+  }
+  FoldHarvests();
+  if (audit::Enabled()) {
+    AuditBarrier(now);
+  }
 }
 
-void ShardedFleet::RunCellsUntil(TimeNs deadline) {
-  // Every cell advances, even on error: a SimBudgetExceeded mid-window must
+void ShardedFleet::RunCells(TimeNs barrier) {
+  // Every cell advances, even on error: a SimBudgetExceeded mid-phase must
   // not leave sibling cells short of the barrier (teardown assumes quiesced
   // cells). The *lowest-id* failure is rethrown, making the propagated error
-  // independent of worker scheduling.
+  // independent of worker scheduling; the failed cell's unapplied actions
+  // are dropped with it.
   std::exception_ptr first_error;
   if (pool_ == nullptr) {
     for (auto& cell : cells_) {
       try {
-        PerfCounters::Scope scope(&cell->counters);
-        cell->sim->RunUntil(deadline);
+        RunCell(cell.get(), barrier);
       } catch (...) {
         if (first_error == nullptr) {
           first_error = std::current_exception();
@@ -367,18 +445,15 @@ void ShardedFleet::RunCellsUntil(TimeNs deadline) {
       }
     }
   } else {
-    std::vector<std::future<void>> windows;
-    windows.reserve(cells_.size());
+    std::vector<std::future<void>> phases;
+    phases.reserve(cells_.size());
     for (auto& cell : cells_) {
       FleetCell* c = cell.get();
-      windows.push_back(pool_->Submit([c, deadline] {
-        PerfCounters::Scope scope(&c->counters);
-        c->sim->RunUntil(deadline);
-      }));
+      phases.push_back(pool_->Submit([c, barrier] { RunCell(c, barrier); }));
     }
-    for (auto& window : windows) {
+    for (auto& phase : phases) {
       try {
-        window.get();
+        phase.get();
       } catch (...) {
         if (first_error == nullptr) {
           first_error = std::current_exception();
@@ -387,7 +462,28 @@ void ShardedFleet::RunCellsUntil(TimeNs deadline) {
     }
   }
   if (first_error != nullptr) {
+    aborted_ = true;
     std::rethrow_exception(first_error);
+  }
+}
+
+void ShardedFleet::AuditBarrier(TimeNs now) const {
+  VSCHED_AUDIT_CHECK(mailbox_.next_due() > now,
+                     "mailbox message due at or before the barrier was never planned");
+  for (const auto& cell : cells_) {
+    VSCHED_AUDIT_CHECK(cell->sim->now() == now, "cell clock is not at the barrier");
+    VSCHED_AUDIT_CHECK(cell->inbox.next_due() > now,
+                       "cell inbox holds an action due at or before the barrier");
+    for (const auto& host : cell->hosts) {
+      int commits = std::accumulate(host->thread_commits.begin(), host->thread_commits.end(), 0);
+      VSCHED_AUDIT_CHECK(host->committed_vcpus == commits,
+                         "host committed_vcpus disagrees with its thread commits");
+      for (size_t t = 0; t < host->occupants.size(); ++t) {
+        VSCHED_AUDIT_CHECK(
+            static_cast<int>(host->occupants[t].size()) <= host->thread_commits[t],
+            "hardware thread has more occupants than commits");
+      }
+    }
   }
 }
 
@@ -404,29 +500,45 @@ bool ShardedFleet::TryPlace(TenantVm* tenant, TimeNs now) {
   if (host_id < 0) {
     return false;
   }
-  FleetCell* cell = CellOfHost(host_id);
-  ClusterHost* host = cell->hosts[static_cast<size_t>(host_id - cell->first_host)].get();
   tenant->host_id = host_id;
-  tenant->tids = ReserveHostThreads(spec_, topology_->num_threads(), host, spec_.vcpus_per_vm);
+  tenant->tids =
+      ReserveHostThreads(spec_, topology_->num_threads(), MutableHost(host_id), spec_.vcpus_per_vm);
+  int id = tenant->id;
+  std::vector<HwThreadId> tids = tenant->tids;
+  CellOfHost(host_id)->inbox.Post(now, ShardMailbox::kControlPlane, [this, id, host_id, tids] {
+    BuildTenantStack(id, host_id, tids);
+  });
 
+  tenant->placed = true;
+  totals_.vms_placed += 1;
+  if (tenant->departs_at > 0) {
+    TimeNs due = std::max(WindowCeil(tenant->departs_at), now + window_);
+    mailbox_.Post(due, ShardMailbox::kControlPlane, [this, id, due] { OnDepartureDue(id, due); });
+  }
+  return true;
+}
+
+void ShardedFleet::BuildTenantStack(int tenant_id, int host_id,
+                                    const std::vector<HwThreadId>& tids) {
   // The tenant's whole simulation stack lives in the owning cell: built
   // against the cell's Simulation, under the cell's counter scope (hot-path
   // components cache the counters pointer at construction).
-  PerfCounters::Scope scope(&cell->counters);
+  TenantVm* tenant = tenants_[static_cast<size_t>(tenant_id)].get();
+  ClusterHost* host = MutableHost(host_id);
   VmSpec vm_spec;
   vm_spec.name = tenant->name;
   vm_spec.guest_params = guest_params_;  // one shared snapshot fleet-wide
-  for (HwThreadId tid : tenant->tids) {
+  for (HwThreadId tid : tids) {
     VcpuPlacement p;
     p.tid = tid;
     vm_spec.vcpus.push_back(p);
   }
-  tenant->vm = std::make_unique<Vm>(cell->sim.get(), host->machine.get(), std::move(vm_spec));
-  OccupyThreads(tenant);
+  tenant->vm =
+      std::make_unique<Vm>(CellOfHost(host_id)->sim.get(), host->machine.get(), std::move(vm_spec));
+  OccupyThreads(tenant_id, host, tids);
   tenant->vsched = std::make_unique<VSched>(&tenant->vm->kernel(), guest_options_);
   tenant->vsched->Start();
 
-  tenant->batch = spec_.batch_every > 0 && tenant->id % spec_.batch_every == 0;
   if (tenant->batch) {
     TaskParallelParams bp;
     bp.name = tenant->name + "/batch";
@@ -459,15 +571,6 @@ bool ShardedFleet::TryPlace(TenantVm* tenant, TimeNs now) {
       tenant->bg_app->Start();
     }
   }
-
-  tenant->placed = true;
-  totals_.vms_placed += 1;
-  if (tenant->departs_at > 0) {
-    TimeNs due = std::max(NextBarrierAtOrAfter(tenant->departs_at), now + window_);
-    int id = tenant->id;
-    mailbox_.Post(due, ShardMailbox::kControlPlane, [this, id, due] { OnDepartureDue(id, due); });
-  }
-  return true;
 }
 
 void ShardedFleet::PlacePending(TimeNs now) {
@@ -515,8 +618,7 @@ void ShardedFleet::BootHostsIfNeeded(TimeNs now) {
 }
 
 void ShardedFleet::OnBootComplete(int host_id, TimeNs now) {
-  FleetCell* cell = CellOfHost(host_id);
-  ClusterHost* host = cell->hosts[static_cast<size_t>(host_id - cell->first_host)].get();
+  ClusterHost* host = MutableHost(host_id);
   VSCHED_CHECK(host->power == HostPower::kBooting);
   host->power = HostPower::kOn;
   host->idle_since = now;
@@ -548,10 +650,11 @@ void ShardedFleet::ControlTick(TimeNs now) {
 }
 
 void ShardedFleet::SampleEnergyAndUtil(TimeNs now) {
-  // Direct host-state reads are barrier-safe: every cell is quiesced at
-  // exactly `now`, so sched(t).busy() is the same answer any worker would
-  // have computed. Accumulation order is global host order — fixed, so the
-  // floating-point sums are bit-stable at any shard count.
+  // The one coordinator read of simulated cell state, which is why control
+  // ticks are barriers: every cell is quiesced at exactly `now` with every
+  // action due by then applied, so sched(t).busy() is the same answer any
+  // worker would have computed. Accumulation order is global host order —
+  // fixed, so the floating-point sums are bit-stable at any shard count.
   TimeNs dt = now - last_sample_;
   last_sample_ = now;
   if (dt <= 0) {
@@ -589,8 +692,8 @@ void ShardedFleet::MaybeConsolidate(TimeNs now) {
   // the destination is confined to the source's *cell*. The cell is the
   // migration domain (rack locality): a live-migrating VM's pending events
   // and timers stay inside one cell Simulation, which is what makes the
-  // copy/downtime/commit phases pure barrier-time state changes instead of
-  // a cross-queue event transplant.
+  // downtime and commit phases actions of a single cell instead of a
+  // cross-queue event transplant.
   int capacity = CapacityVcpus();
   ClusterHost* source = nullptr;
   double source_load = 0;
@@ -659,10 +762,7 @@ void ShardedFleet::OnMigrationDowntime(int tenant_id, TimeNs now) {
   VSCHED_CHECK(tenant->migrating);
   if (tenant->depart_pending) {
     // The tenant's lifetime ended during the copy: abort the migration.
-    FleetCell* dest_cell = CellOfHost(tenant->mig_dest_host);
-    ReleaseHostCommits(
-        dest_cell->hosts[static_cast<size_t>(tenant->mig_dest_host - dest_cell->first_host)].get(),
-        tenant->mig_dest_tids, now);
+    ReleaseHostCommits(MutableHost(tenant->mig_dest_host), tenant->mig_dest_tids, now);
     tenant->migrating = false;
     tenant->mig_dest_host = -1;
     tenant->mig_dest_tids.clear();
@@ -670,36 +770,47 @@ void ShardedFleet::OnMigrationDowntime(int tenant_id, TimeNs now) {
     return;
   }
   // Downtime blackout: paused vCPUs stay attached (guest sees steal).
-  FleetCell* cell = CellOfHost(tenant->host_id);
-  PerfCounters::Scope scope(&cell->counters);
-  tenant->vm->SetPausedAll(true);
-  int id = tenant->id;
+  CellOfHost(tenant->host_id)->inbox.Post(now, ShardMailbox::kControlPlane, [this, tenant_id] {
+    tenants_[static_cast<size_t>(tenant_id)]->vm->SetPausedAll(true);
+  });
   TimeNs due = now + spec_.migration_downtime;
-  mailbox_.Post(due, ShardMailbox::kControlPlane, [this, id, due] { OnMigrationCommit(id, due); });
+  mailbox_.Post(due, ShardMailbox::kControlPlane,
+                [this, tenant_id, due] { OnMigrationCommit(tenant_id, due); });
 }
 
 void ShardedFleet::OnMigrationCommit(int tenant_id, TimeNs now) {
   TenantVm* tenant = tenants_[static_cast<size_t>(tenant_id)].get();
   VSCHED_CHECK(tenant->migrating);
-  FleetCell* cell = CellOfHost(tenant->host_id);
-  VSCHED_CHECK(CellOfHost(tenant->mig_dest_host) == cell);  // cell == migration domain
-  ClusterHost* dest = cell->hosts[static_cast<size_t>(tenant->mig_dest_host - cell->first_host)].get();
-  ClusterHost* source = cell->hosts[static_cast<size_t>(tenant->host_id - cell->first_host)].get();
-  PerfCounters::Scope scope(&cell->counters);
-  VacateThreads(tenant);  // source neighbors' caps relax
-  tenant->vm->MigrateToMachine(dest->machine.get(), tenant->mig_dest_tids);
-  tenant->vm->SetPausedAll(false);
-  ReleaseHostCommits(source, tenant->tids, now);
-  tenant->host_id = tenant->mig_dest_host;
-  tenant->tids = tenant->mig_dest_tids;
+  int src = tenant->host_id;
+  int dst = tenant->mig_dest_host;
+  VSCHED_CHECK(CellOfHost(dst) == CellOfHost(src));  // cell == migration domain
+  std::vector<HwThreadId> src_tids = tenant->tids;
+  std::vector<HwThreadId> dst_tids = tenant->mig_dest_tids;
+  CellOfHost(src)->inbox.Post(
+      now, ShardMailbox::kControlPlane, [this, tenant_id, src, src_tids, dst, dst_tids] {
+        CommitMigration(tenant_id, src, src_tids, dst, dst_tids);
+      });
+  ReleaseHostCommits(MutableHost(src), tenant->tids, now);
+  tenant->host_id = dst;
+  tenant->tids = std::move(tenant->mig_dest_tids);
   tenant->mig_dest_host = -1;
   tenant->mig_dest_tids.clear();
   tenant->migrating = false;
-  OccupyThreads(tenant);  // dest caps tighten around the newcomer
   totals_.migrations += 1;
   if (tenant->depart_pending) {
     DoDepart(tenant, now);
   }
+}
+
+void ShardedFleet::CommitMigration(int tenant_id, int src_host,
+                                   const std::vector<HwThreadId>& src_tids, int dst_host,
+                                   const std::vector<HwThreadId>& dst_tids) {
+  Vm* vm = tenants_[static_cast<size_t>(tenant_id)]->vm.get();
+  ClusterHost* dest = MutableHost(dst_host);
+  VacateThreads(tenant_id, MutableHost(src_host), src_tids);  // source neighbors' caps relax
+  vm->MigrateToMachine(dest->machine.get(), dst_tids);
+  vm->SetPausedAll(false);
+  OccupyThreads(tenant_id, dest, dst_tids);  // dest caps tighten around the newcomer
 }
 
 void ShardedFleet::OnDepartureDue(int tenant_id, TimeNs now) {
@@ -716,43 +827,54 @@ void ShardedFleet::OnDepartureDue(int tenant_id, TimeNs now) {
 
 void ShardedFleet::DoDepart(TenantVm* tenant, TimeNs now) {
   VSCHED_CHECK(tenant->placed && !tenant->departed && !tenant->migrating);
-  FleetCell* cell = CellOfHost(tenant->host_id);
-  PerfCounters::Scope scope(&cell->counters);
-  HarvestStats(tenant);
+  int id = tenant->id;
+  int host_id = tenant->host_id;
+  std::vector<HwThreadId> tids = tenant->tids;
+  CellOfHost(host_id)->inbox.Post(now, ShardMailbox::kControlPlane,
+                                  [this, id, host_id, tids] { TearDownTenant(id, host_id, tids); });
+  ReleaseHostCommits(MutableHost(host_id), tenant->tids, now);
+  tenant->departed = true;
+  totals_.vms_departed += 1;
+  unfolded_departures_.push_back(id);
+}
+
+void ShardedFleet::TearDownTenant(int tenant_id, int host_id,
+                                  const std::vector<HwThreadId>& tids) {
+  TenantVm* tenant = tenants_[static_cast<size_t>(tenant_id)].get();
+  tenant->harvest = TakeHarvest(*tenant);
   StopApps(tenant);
   tenant->vsched->Stop();
   tenant->vsched.reset();
-  VacateThreads(tenant);  // neighbors' caps relax before the VM detaches
-  tenant->vm.reset();     // detaches the vCPU threads from the host
-  ReleaseHostCommits(cell->hosts[static_cast<size_t>(tenant->host_id - cell->first_host)].get(),
-                     tenant->tids, now);
-  tenant->departed = true;
-  totals_.vms_departed += 1;
+  // Neighbors' caps relax before the VM detaches its vCPU threads.
+  VacateThreads(tenant_id, MutableHost(host_id), tids);
+  tenant->vm.reset();
 }
 
-void ShardedFleet::HarvestStats(TenantVm* tenant) {
-  // Guest-side detection/containment counters, summed exactly once per
-  // tenant (HarvestStats runs at departure or at Finish, never both) while
-  // the tenant's VSched is still alive. All zero unless robust.enabled.
-  // Integer sums, so the tenant-id harvest order is merge-order neutral.
-  if (tenant->vsched != nullptr) {
-    totals_.pessimistic_publishes += tenant->vsched->pessimistic_publishes();
-    if (tenant->vsched->vcap() != nullptr) {
-      totals_.quarantine_events +=
-          static_cast<uint64_t>(tenant->vsched->vcap()->quarantine_events());
+void ShardedFleet::FoldHarvests() {
+  // Departure order, which is the order the coordinator planned them in.
+  for (int id : unfolded_departures_) {
+    TenantVm* tenant = tenants_[static_cast<size_t>(id)].get();
+    if (!tenant->harvest.has_value()) {
+      VSCHED_CHECK_MSG(aborted_, "departed tenant reached a barrier unharvested");
+      continue;  // its cell failed before the departure action ran
     }
-    if (tenant->vsched->degradation().transitions() > 0) {
-      totals_.degraded_tenants += 1;
-    }
+    FoldHarvest(*tenant->harvest);
+    tenant->harvest.reset();
   }
-  if (tenant->batch) {
-    totals_.batch_chunks += tenant->batch_app->chunks_done();
-    return;
+  unfolded_departures_.clear();
+}
+
+void ShardedFleet::FoldHarvest(const TenantHarvest& harvest) {
+  // Each tenant is folded exactly once, at departure or at Finish. Integer
+  // sums are merge-order neutral; the distributions merge in the fixed
+  // order of the calls (departures, then live tenants by id).
+  totals_.pessimistic_publishes += harvest.pessimistic_publishes;
+  totals_.quarantine_events += harvest.quarantine_events;
+  if (harvest.degraded) {
+    totals_.degraded_tenants += 1;
   }
-  if (tenant->bg_app != nullptr) {
-    totals_.batch_chunks += tenant->bg_app->chunks_done();
-  }
-  const Distribution& latency = tenant->app->end_to_end();
+  totals_.batch_chunks += harvest.batch_chunks;
+  const Distribution& latency = harvest.latency;
   fleet_latency_.MergeFrom(latency);
   totals_.slo_violations += latency.CountAbove(static_cast<double>(spec_.slo_latency));
   totals_.requests += static_cast<uint64_t>(latency.count());
@@ -776,31 +898,28 @@ void ShardedFleet::StopApps(TenantVm* tenant) {
   }
 }
 
-void ShardedFleet::OccupyThreads(TenantVm* tenant) {
-  FleetCell* cell = CellOfHost(tenant->host_id);
-  ClusterHost* host = cell->hosts[static_cast<size_t>(tenant->host_id - cell->first_host)].get();
-  for (size_t v = 0; v < tenant->tids.size(); ++v) {
-    host->occupants[static_cast<size_t>(tenant->tids[v])].emplace_back(tenant->id,
-                                                                       static_cast<int>(v));
+void ShardedFleet::OccupyThreads(int tenant_id, ClusterHost* host,
+                                 const std::vector<HwThreadId>& tids) {
+  for (size_t v = 0; v < tids.size(); ++v) {
+    host->occupants[static_cast<size_t>(tids[v])].emplace_back(tenant_id, static_cast<int>(v));
   }
-  for (HwThreadId tid : tenant->tids) {
+  for (HwThreadId tid : tids) {
     ReshapeThread(host, tid);
   }
 }
 
-void ShardedFleet::VacateThreads(TenantVm* tenant) {
-  FleetCell* cell = CellOfHost(tenant->host_id);
-  ClusterHost* host = cell->hosts[static_cast<size_t>(tenant->host_id - cell->first_host)].get();
-  for (auto tid : tenant->tids) {
+void ShardedFleet::VacateThreads(int tenant_id, ClusterHost* host,
+                                 const std::vector<HwThreadId>& tids) {
+  for (HwThreadId tid : tids) {
     auto& occ = host->occupants[static_cast<size_t>(tid)];
     for (auto it = occ.begin(); it != occ.end(); ++it) {
-      if (it->first == tenant->id) {
+      if (it->first == tenant_id) {
         occ.erase(it);
         break;
       }
     }
   }
-  for (HwThreadId tid : tenant->tids) {
+  for (HwThreadId tid : tids) {
     ReshapeThread(host, tid);
   }
 }
@@ -829,6 +948,7 @@ void ShardedFleet::Finish() {
     return;
   }
   finished_ = true;
+  FoldHarvests();  // non-empty only after an aborted run phase
   SampleEnergyAndUtil(now_);
   for (auto& cell : cells_) {
     PerfCounters::Scope scope(&cell->counters);
@@ -840,20 +960,22 @@ void ShardedFleet::Finish() {
   }
   // Live-tenant teardown and harvest in tenant-id order: the merge order
   // into the fleet-wide distributions is part of the deterministic-output
-  // contract.
+  // contract. A tenant's stack is live exactly when its placement was
+  // applied and its departure was not — after an aborted run phase that
+  // can differ from the coordinator's flags, which is why the stack itself
+  // decides.
   for (auto& tenant : tenants_) {
-    if (!tenant->placed || tenant->departed) {
-      continue;
+    if (tenant->vm != nullptr) {
+      PerfCounters::Scope scope(&CellOfHost(tenant->host_id)->counters);
+      FoldHarvest(TakeHarvest(*tenant));
+      StopApps(tenant.get());
+      tenant->vsched->Stop();
+      tenant->vsched.reset();
+      tenant->vm.reset();
     }
-    FleetCell* cell = CellOfHost(tenant->host_id);
-    PerfCounters::Scope scope(&cell->counters);
-    HarvestStats(tenant.get());
-    StopApps(tenant.get());
-    tenant->vsched->Stop();
-    tenant->vsched.reset();
-    tenant->vm.reset();
-    ReleaseHostCommits(cell->hosts[static_cast<size_t>(tenant->host_id - cell->first_host)].get(),
-                       tenant->tids, now_);
+    if (tenant->placed && !tenant->departed) {
+      ReleaseHostCommits(MutableHost(tenant->host_id), tenant->tids, now_);
+    }
   }
   totals_.vms_rejected = static_cast<int>(pending_.size());
 

@@ -21,36 +21,52 @@
 // the spec alone — never of --shards — so the simulated behaviour cannot
 // depend on the worker-thread count.
 //
-// Synchronization. Time advances in lookahead windows of
+// Synchronization. Cells synchronize only where a read needs all of them:
+// at each control tick (the energy/utilization sample reads every host's
+// busy state), at the RunUntil deadline, and at Finish. Between two barriers
+// the coordinator plans and the cells apply:
+//  - Planning. Before a run phase the single-threaded coordinator drains the
+//    ShardMailbox up to the next barrier, in canonical (due, origin, seq)
+//    order: arrivals, boot completions, migration phases, departures. Its
+//    handlers do control-plane bookkeeping only. Placement reads LoadViews
+//    (power and commits), consolidation reads commits and tenant flags, and
+//    power-down reads idle_since, so no handler needs a cell to have reached
+//    the handler's instant. Every effect on a cell's simulated state becomes
+//    a timestamped action in that cell's own inbox. The action captures the
+//    tenant id, host id and thread ids it was planned with, because by the
+//    time the cell applies it the coordinator's copies may hold a later
+//    instant's values.
+//  - Applying. Each cell runs to the barrier on its own: worker threads from
+//    the runner's pool when --shards > 1, in cell order on the caller's
+//    thread otherwise. It stops at each action's instant and applies every
+//    action due there, together, before it runs anything later.
+//  - The barrier. Every cell stands at exactly now() == T with every action
+//    due at or before T applied. The coordinator folds the harvests of the
+//    tenants that departed since the last barrier, runs the control tick on
+//    its cadence (sample, place, boot, consolidate, power down), and lets
+//    the cells apply the tick's placements at T before the barrier ends.
 // W = gcd(control_period, boot_delay, migration_copy_latency,
-// migration_downtime): the conservative PDES bound, since no control-plane
-// interaction takes effect in less than W and every control-plane delay is a
-// multiple of W. Within a window (T, T+W] each cell advances its Simulation
-// independently — worker threads from the runner's pool when --shards > 1,
-// in cell order on the caller's thread otherwise. At each barrier T all
-// cells are quiesced at exactly now() == T and the single-threaded
-// coordinator runs: it drains the ShardMailbox in canonical
-// (due, origin, seq) order (arrivals, boot completions, migration phases,
-// departures), then on the control cadence reads host state directly —
-// safe, because nothing is running — for telemetry, provisioning, and
-// consolidation decisions whose delayed effects are posted back through the
-// mailbox.
+// migration_downtime) (window()) is the grid that arrivals and departures
+// are quantized to; every control-plane delay is a multiple of it, so each
+// action lands on the same instant, in the same order, as it would under a
+// barrier every W.
 //
 // Determinism. A (FleetSpec, seed, options) triple replays byte-identically,
 // and the JSONL a fleet run emits is byte-identical for every --shards value
 // (the vsched_run_fleet_sharded ctest), the same guarantee class as the
 // runner's --jobs: the coordinator is sequential, the mailbox order is
-// canonical, cells share no mutable state inside a window, and per-cell
+// canonical, cells share no mutable state between barriers, and per-cell
 // PerfCounters keep even the hot-path tallies race-free (merged in cell
 // order at Finish).
 //
-// See docs/PERF.md ("Sharded fleet execution") for the lookahead derivation
-// and docs/CLUSTER.md for the operator view.
+// See docs/PERF.md ("Sharded fleet execution") for why planning ahead is
+// exact and docs/CLUSTER.md for the operator view.
 #ifndef SRC_CLUSTER_SHARDED_FLEET_H_
 #define SRC_CLUSTER_SHARDED_FLEET_H_
 
 #include <deque>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -78,6 +94,9 @@ namespace vsched {
 enum class HostPower { kOff, kBooting, kOn };
 
 // One physical host plus the control-plane state the fleet keeps about it.
+// `machine` and `occupants` are cell-owned: only the owning cell touches them
+// between barriers. The commit, power, idle and energy fields are
+// coordinator-owned and may run ahead of the cell to the next barrier.
 struct ClusterHost {
   int id = 0;
   std::unique_ptr<HostMachine> machine;
@@ -95,7 +114,20 @@ struct ClusterHost {
   double energy_j = 0;    // integrated by the control loop
 };
 
+// What a departing tenant contributes to FleetTotals. Its cell fills the
+// slot when it tears the tenant down; the coordinator folds it at the next
+// barrier, in departure order.
+struct TenantHarvest {
+  uint64_t pessimistic_publishes = 0;
+  uint64_t quarantine_events = 0;
+  bool degraded = false;
+  uint64_t batch_chunks = 0;
+  Distribution latency;  // end-to-end latency; empty for batch tenants
+};
+
 // One tenant: the per-VM simulation stack plus its lifecycle bookkeeping.
+// The stack (vm, vsched, the apps) and `harvest` are owned by the cell that
+// hosts the tenant; the placement and lifecycle fields are coordinator-owned.
 struct TenantVm {
   int id = 0;
   std::string name;
@@ -109,6 +141,7 @@ struct TenantVm {
   // Co-located best-effort (SCHED_IDLE) work inside latency VMs; see
   // FleetSpec::background_tasks_per_vm.
   std::unique_ptr<TaskParallelApp> bg_app;
+  std::optional<TenantHarvest> harvest;  // departed, not yet folded
   TimeNs departs_at = 0;  // 0: lives to the horizon
   bool placed = false;
   bool departed = false;
@@ -153,11 +186,12 @@ struct FleetTotals {
 };
 
 // One logical process of the sharded engine: a contiguous host range behind
-// a private Simulation. Exactly one thread touches a cell inside any window;
-// the coordinator touches it only at barriers. `counters` is the cell's
-// PerfCounters sink — installed via PerfCounters::Scope around construction
-// and every window so the pointer components cache at construction is the
-// cell's own, keeping tallies race-free at any shard count.
+// a private Simulation. Exactly one thread touches a cell during a run
+// phase; the coordinator reads it only at barriers and posts to its `inbox`
+// only while every cell is parked. `counters` is the cell's PerfCounters
+// sink — installed via PerfCounters::Scope around construction and every run
+// phase so the pointer components cache at construction is the cell's own,
+// keeping tallies race-free at any shard count.
 struct FleetCell {
   int id = 0;
   int first_host = 0;
@@ -165,6 +199,9 @@ struct FleetCell {
   std::unique_ptr<Simulation> sim;
   std::vector<std::unique_ptr<ClusterHost>> hosts;
   std::vector<std::unique_ptr<FaultInjector>> injectors;
+  // Actions the coordinator planned for this cell, applied by the cell at
+  // their instants (see "Synchronization" above).
+  ShardMailbox inbox;
 };
 
 class ShardedFleet {
@@ -187,11 +224,12 @@ class ShardedFleet {
   // per-cell event budget trips.
   void Run(TimeNs horizon);
 
-  // Advances every cell to `deadline` and runs the barrier there. The first
-  // call draws the arrival schedule and starts the fault injectors; later
-  // calls continue from the previous deadline. Between calls every cell is
-  // quiesced, so host and tenant state may be read. Stepping on the window
-  // grid gives the same totals as one call to the final deadline.
+  // Advances every cell to `deadline`, with barriers at the control ticks
+  // on the way and at `deadline` itself. The first call draws the arrival
+  // schedule and starts the fault injectors; later calls continue from the
+  // previous deadline. Between calls every cell is quiesced, so host and
+  // tenant state may be read. Stepping at any granularity gives the same
+  // totals as one call to the final deadline.
   void RunUntil(TimeNs deadline);
 
   // Stops every live tenant, harvests its latency distribution, and freezes
@@ -213,16 +251,23 @@ class ShardedFleet {
   uint64_t events_dispatched() const;  // summed over cells
 
  private:
+  friend struct AuditTestAccess;
+
   FleetCell* CellOfHost(int host_id);
   const FleetCell* CellOfHost(int host_id) const;
+  ClusterHost* MutableHost(int host_id);
   int CapacityVcpus() const;
   std::vector<HostLoadView> LoadViews() const;
-  TimeNs NextBarrierAtOrAfter(TimeNs t) const;
+  TimeNs WindowCeil(TimeNs t) const;  // first point of the window grid >= t
+  TimeNs NextControlTickAfter(TimeNs t) const;
 
   void ScheduleArrivals(TimeNs start);
   void BarrierPhase(TimeNs now);
-  void RunCellsUntil(TimeNs deadline);
+  void RunCells(TimeNs barrier);
+  void AuditBarrier(TimeNs now) const;
 
+  // Coordinator: control-plane handlers. They plan cell effects as inbox
+  // actions and never read simulated cell state.
   void OnVmArrival(int tenant_id, TimeNs now);
   bool TryPlace(TenantVm* tenant, TimeNs now);
   void PlacePending(TimeNs now);
@@ -235,12 +280,19 @@ class ShardedFleet {
   void OnMigrationCommit(int tenant_id, TimeNs now);
   void OnDepartureDue(int tenant_id, TimeNs now);
   void DoDepart(TenantVm* tenant, TimeNs now);
-  void HarvestStats(TenantVm* tenant);
-  void StopApps(TenantVm* tenant);
-  // Registers/unregisters a placed tenant's vCPUs on its host's threads and
+  void FoldHarvests();
+  void FoldHarvest(const TenantHarvest& harvest);
+
+  // Cell side: inbox actions, run by the owning cell at their instant.
+  void BuildTenantStack(int tenant_id, int host_id, const std::vector<HwThreadId>& tids);
+  void CommitMigration(int tenant_id, int src_host, const std::vector<HwThreadId>& src_tids,
+                       int dst_host, const std::vector<HwThreadId>& dst_tids);
+  void TearDownTenant(int tenant_id, int host_id, const std::vector<HwThreadId>& tids);
+  static void StopApps(TenantVm* tenant);
+  // Registers/unregisters a tenant's vCPUs on a host's threads and
   // re-applies the commit-driven bandwidth caps of every touched thread.
-  void OccupyThreads(TenantVm* tenant);
-  void VacateThreads(TenantVm* tenant);
+  void OccupyThreads(int tenant_id, ClusterHost* host, const std::vector<HwThreadId>& tids);
+  void VacateThreads(int tenant_id, ClusterHost* host, const std::vector<HwThreadId>& tids);
   void ReshapeThread(ClusterHost* host, HwThreadId tid);
 
   FleetSpec spec_;
@@ -261,11 +313,13 @@ class ShardedFleet {
   std::vector<std::unique_ptr<FleetCell>> cells_;
   std::vector<std::unique_ptr<TenantVm>> tenants_;
   std::deque<int> pending_;  // arrived but unplaced tenant ids, FIFO
+  std::vector<int> unfolded_departures_;  // departure order since the last fold
   ShardMailbox mailbox_;
   std::unique_ptr<ThreadPool> pool_;  // null when shards_ == 1
 
   TimeNs start_time_ = 0;
   TimeNs now_ = 0;  // the last barrier every cell has reached
+  bool aborted_ = false;  // a run phase threw; unapplied actions were dropped
   TimeNs last_sample_ = 0;
   double util_integral_ = 0;     // sum over On hosts of util * dt
   double on_time_integral_ = 0;  // sum over On hosts of dt

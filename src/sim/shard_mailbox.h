@@ -1,12 +1,13 @@
-// Cross-shard message channel for the sharded (PDES) fleet execution mode.
-//
-// Sharded execution partitions a fleet into cells, each advancing its own
-// Simulation inside conservative lookahead windows (docs/PERF.md, "Sharded
-// fleet execution"). Anything that crosses a cell boundary — a VM arrival
-// aimed at a cell's host, a migration phase, a boot completion — must not
-// touch another cell's event queue or entity state directly; it travels as a
-// timestamped message through this mailbox instead, and is applied at a
-// window boundary while every cell is quiesced.
+// Timestamped message queue of the sharded (PDES) fleet engine, used in two
+// roles (docs/PERF.md, "Sharded fleet execution"):
+//  - the control-plane mailbox: VM arrivals, boot completions, migration
+//    phases and departures, whose handlers the coordinator runs in canonical
+//    order while it plans ahead of the cells;
+//  - each cell's inbox: the actions those handlers planned for the cell's
+//    simulated state (build a tenant stack, pause a VM, commit a migration,
+//    tear a tenant down), which the cell applies at exactly their instants.
+// Nothing that crosses a cell boundary touches another cell's event queue or
+// entity state directly; it travels as a message instead.
 //
 // Determinism contract: messages are applied in canonical
 // (due_time, origin, sequence) order. The sequence number is per-origin, so
@@ -16,10 +17,12 @@
 // of `vsched_run --fleet --shards=N` byte-identical for every N, the same
 // guarantee class as the runner's --jobs.
 //
-// Threading contract: Post() and DrainUpTo() are barrier-phase operations.
-// They run on the coordinator thread while all cell workers are parked at a
-// window boundary, so the mailbox needs no internal locking; a cell that
-// wants to originate a message hands it to the coordinator at the barrier
+// Threading contract: one thread at a time, so no internal locking. The
+// coordinator posts to the mailbox and to every inbox, and drains the
+// mailbox, only while every cell is parked at a barrier. A cell drains its
+// own inbox on the worker thread that runs it between barriers; the thread
+// pool's task handoff orders that after the coordinator's posts. A cell that
+// wants to originate a message hands it to the coordinator at a barrier
 // (with its own cell id as `origin`, keeping the canonical order
 // origin-stable).
 #ifndef SRC_SIM_SHARD_MAILBOX_H_
@@ -42,7 +45,7 @@ class ShardMailbox {
   // boots). Cells use their non-negative cell id.
   static constexpr int kControlPlane = -1;
 
-  // Enqueues `apply` to run at the first barrier with time >= `due`.
+  // Enqueues `apply` to run at the first drain up to a time >= `due`.
   // Closures follow the control-plane capture discipline: slot *ids*, never
   // ClusterHost/TenantVm/cell pointers (vsched-lint's shard-crossing rule).
   void Post(TimeNs due, int origin, std::function<void()> apply) {

@@ -15,6 +15,9 @@
 
 #include "src/base/audit.h"
 #include "src/base/time.h"
+#include "src/cluster/fleet_spec.h"
+#include "src/cluster/sharded_fleet.h"
+#include "src/core/config.h"
 #include "src/guest/runqueue.h"
 #include "src/guest/task.h"
 #include "src/guest/vm.h"
@@ -146,6 +149,13 @@ struct AuditTestAccess {
   // Flips the probe's cached run flag for prober A: the stale state a
   // run-change site that stopped notifying would leave behind.
   static void FlipCachedRun(PairProbe& p) { p.a_running_ = !p.a_running_; }
+
+  // ---- ShardedFleet backdoor ----
+
+  // The coordinator's books for one host, writable.
+  static ClusterHost& FleetHost(ShardedFleet& fleet, int host_id) {
+    return *fleet.MutableHost(host_id);
+  }
 };
 
 namespace {
@@ -432,6 +442,66 @@ TEST_F(AuditTest, StalePairProbeRunStateIsCaught) {
   sim.RunFor(UsToNs(10));  // the next timer-driven sample must notice
   EXPECT_GT(audit::ViolationCount(), 0u);
   EXPECT_TRUE(AnyViolationContains("cached prober run state"));
+}
+
+FleetSpec TinyFleet() {
+  FleetSpec spec;
+  EXPECT_TRUE(LookupFleetSpec("tiny", &spec));
+  return spec;
+}
+
+TEST_F(AuditTest, CleanFleetBarriersReportNothing) {
+  // Crowded, so arrivals queue and control ticks place tenants too.
+  FleetSpec spec = TinyFleet();
+  spec.vms = 40;
+  spec.arrival_window = MsToNs(600);
+  ShardedFleet fleet(spec, /*seed=*/0x5AA3D, VSchedOptions::Cfs(), /*shards=*/2);
+  fleet.Run(MsToNs(1000));
+  EXPECT_GT(fleet.totals().vms_departed, 0);
+  EXPECT_GT(fleet.totals().migrations, 0u);
+  EXPECT_EQ(audit::ViolationCount(), 0u);
+}
+
+// A host whose committed_vcpus drifts from the sum of its per-thread
+// commits. A RunUntil deadline 1 ns later is a barrier with nothing planned
+// before it, so its audit is the first thing to see the skew.
+TEST_F(AuditTest, FleetCommitSkewIsCaughtAtTheNextBarrier) {
+  ShardedFleet fleet(TinyFleet(), /*seed=*/7, VSchedOptions::Cfs(), /*shards=*/1);
+  fleet.RunUntil(MsToNs(50));
+  ASSERT_EQ(audit::ViolationCount(), 0u);
+  ClusterHost& host = AuditTestAccess::FleetHost(fleet, 0);
+  host.committed_vcpus += 1;
+  fleet.RunUntil(MsToNs(50) + 1);
+  EXPECT_GT(audit::ViolationCount(), 0u);
+  EXPECT_TRUE(AnyViolationContains("committed_vcpus disagrees with its thread commits"));
+  host.committed_vcpus -= 1;  // teardown releases commits against honest books
+}
+
+// A thread that lost the commit behind one of its occupants: the commit
+// moves to another thread, so the host total still agrees and only the
+// per-thread bound can notice.
+TEST_F(AuditTest, FleetOccupantWithoutCommitIsCaughtAtTheNextBarrier) {
+  ShardedFleet fleet(TinyFleet(), /*seed=*/7, VSchedOptions::Cfs(), /*shards=*/1);
+  fleet.RunUntil(MsToNs(50));
+  ASSERT_EQ(audit::ViolationCount(), 0u);
+  ClusterHost& host = AuditTestAccess::FleetHost(fleet, 0);
+  // A thread whose every commit is occupied (an in-flight migration's
+  // destination holds commits ahead of its occupants).
+  size_t busy = 0;
+  while (busy < host.occupants.size() &&
+         (host.occupants[busy].empty() ||
+          static_cast<int>(host.occupants[busy].size()) != host.thread_commits[busy])) {
+    ++busy;
+  }
+  ASSERT_LT(busy, host.occupants.size()) << "host 0 has no fully occupied thread at 50 ms";
+  size_t other = (busy + 1) % host.thread_commits.size();
+  host.thread_commits[busy] -= 1;
+  host.thread_commits[other] += 1;
+  fleet.RunUntil(MsToNs(50) + 1);
+  EXPECT_GT(audit::ViolationCount(), 0u);
+  EXPECT_TRUE(AnyViolationContains("more occupants than commits"));
+  host.thread_commits[busy] += 1;
+  host.thread_commits[other] -= 1;
 }
 
 }  // namespace

@@ -60,5 +60,20 @@ TEST(PerfCountersTest, ResetClearsAllTallies) {
   EXPECT_EQ(c.callback_heap_allocs, 0u);
 }
 
+TEST(PerfCountersTest, MergeFromAddsTallies) {
+  // How the sharded fleet folds per-cell sinks into the run's sink; the
+  // coordinator's barrier count must survive a merge too.
+  PerfCounters run;
+  run.fleet_barriers = 13;
+  PerfCounters cell;
+  cell.events_executed = 4;
+  cell.timer_fires = 9;
+  cell.fleet_barriers = 2;
+  run.MergeFrom(cell);
+  EXPECT_EQ(run.events_executed, 4u);
+  EXPECT_EQ(run.timer_fires, 9u);
+  EXPECT_EQ(run.fleet_barriers, 15u);
+}
+
 }  // namespace
 }  // namespace vsched

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "src/base/perf_counters.h"
 #include "src/base/time.h"
 #include "src/cluster/fleet_spec.h"
 #include "src/core/config.h"
@@ -13,11 +16,13 @@ namespace {
 
 constexpr uint64_t kSeed = 0x5AA3D;
 
-FleetSpec Tiny() {
+FleetSpec Preset(const std::string& name) {
   FleetSpec spec;
-  EXPECT_TRUE(LookupFleetSpec("tiny", &spec));
+  EXPECT_TRUE(LookupFleetSpec(name, &spec));
   return spec;
 }
+
+FleetSpec Tiny() { return Preset("tiny"); }
 
 FleetTotals RunSharded(const FleetSpec& spec, const VSchedOptions& options, int shards,
                        TimeNs horizon, uint64_t seed = kSeed, const FaultPlan* plan = nullptr) {
@@ -133,24 +138,90 @@ TEST(ShardedFleet, ChaosReplayIsIdenticalAcrossShardCounts) {
 }
 
 TEST(ShardedFleet, StepwiseRunMatchesOneShot) {
-  // Callers that sample fleet state mid-run (the 1 ms probe sampler in
-  // fleet_test.cc) step RunUntil along the window grid; that must not move
-  // a single total against Run(horizon).
+  // Every RunUntil deadline is a barrier of its own. Stepping by window()
+  // stops every cell at every grid point, the schedule of an engine that
+  // barriers once per window, so it is the oracle for Run(horizon), which
+  // barriers only at control ticks. 10 ms steps are what callers that sample
+  // fleet state mid-run (fleet_test.cc) do. Neither may move a single total.
   FaultPlan plan;
   ASSERT_TRUE(LookupFaultPlan("everything", &plan));
-  const FaultPlan* plans[] = {nullptr, &plan};
-  for (const FaultPlan* chaos : plans) {
-    SCOPED_TRACE(chaos == nullptr ? "clean" : "chaos");
-    FleetTotals one_shot = RunSharded(Tiny(), VSchedOptions::Full(), 1, MsToNs(800), kSeed, chaos);
-    ShardedFleet fleet(Tiny(), kSeed, VSchedOptions::Full(), /*shards=*/1, chaos);
-    for (TimeNs t = MsToNs(10); t <= MsToNs(800); t += MsToNs(10)) {
-      fleet.RunUntil(t);
-    }
-    fleet.Finish();
+  struct Case {
+    const char* preset;
+    TimeNs horizon;
+    const FaultPlan* chaos;
+  };
+  const Case cases[] = {
+      {"tiny", MsToNs(800), nullptr},
+      {"tiny", MsToNs(800), &plan},
+      {"small", MsToNs(3000), nullptr},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(c.preset) + (c.chaos == nullptr ? " clean" : " chaos"));
+    FleetSpec spec = Preset(c.preset);
+    FleetTotals one_shot =
+        RunSharded(spec, VSchedOptions::Full(), 1, c.horizon, kSeed, c.chaos);
+    // The run must cover every lifecycle path an action can take.
     EXPECT_GT(one_shot.requests, 0u);
+    EXPECT_GT(one_shot.vms_departed, 0);
     EXPECT_GT(one_shot.migrations, 0u);
-    ExpectTotalsEqual(fleet.totals(), one_shot);
+    EXPECT_GT(one_shot.hosts_shutdown, 0);
+    for (bool by_window : {false, true}) {
+      SCOPED_TRACE(by_window ? "window steps" : "10 ms steps");
+      ShardedFleet fleet(spec, kSeed, VSchedOptions::Full(), /*shards=*/1, c.chaos);
+      TimeNs step = by_window ? fleet.window() : MsToNs(10);
+      for (TimeNs t = step; t <= c.horizon; t += step) {
+        fleet.RunUntil(t);
+      }
+      fleet.Finish();
+      ExpectTotalsEqual(fleet.totals(), one_shot);
+    }
   }
+}
+
+TEST(ShardedFleet, BarriersFollowTheControlCadence) {
+  // Cells stop only where a read needs all of them: t = 0 and tiny's 80
+  // control ticks (10 ms) in 800 ms, not once per 1 ms window. A RunUntil
+  // deadline off the cadence adds a barrier of its own.
+  for (int shards : {1, 4}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    PerfCounters one_shot;
+    {
+      PerfCounters::Scope scope(&one_shot);
+      ShardedFleet fleet(Tiny(), kSeed, VSchedOptions::Full(), shards);
+      fleet.Run(MsToNs(800));
+    }
+    EXPECT_EQ(one_shot.fleet_barriers, 81u);
+
+    PerfCounters stepped;
+    {
+      PerfCounters::Scope scope(&stepped);
+      ShardedFleet fleet(Tiny(), kSeed, VSchedOptions::Full(), shards);
+      fleet.RunUntil(MsToNs(5));
+      fleet.Run(MsToNs(800));
+    }
+    EXPECT_EQ(stepped.fleet_barriers, 82u);
+  }
+}
+
+TEST(ShardedFleet, BarriersLeaveNoPlannedActionUnapplied) {
+  // More tenants than tiny's hosts hold, so arrivals queue and control ticks
+  // place them as departures free room. A tick's placements apply at the
+  // tick's barrier itself: whenever RunUntil returns, a tenant's stack
+  // exists exactly when the coordinator has it placed and not departed.
+  FleetSpec spec = Tiny();
+  spec.vms = 40;
+  spec.arrival_window = MsToNs(600);
+  ShardedFleet fleet(spec, kSeed, VSchedOptions::Cfs(), /*shards=*/2);
+  for (TimeNs t = spec.control_period; t <= MsToNs(1000); t += spec.control_period) {
+    fleet.RunUntil(t);
+    for (int id = 0; id < fleet.num_tenants(); ++id) {
+      const TenantVm& tenant = fleet.tenant(id);
+      ASSERT_EQ(tenant.placed && !tenant.departed, tenant.vm != nullptr)
+          << "tenant " << id << " at " << t << " ns";
+    }
+  }
+  fleet.Finish();
+  EXPECT_EQ(fleet.totals().vms_placed, spec.vms);
 }
 
 TEST(ShardedFleet, DifferentSeedsDiffer) {
@@ -188,6 +259,44 @@ TEST(ShardedFleet, PerCellEventBudgetTripsDeterministically) {
   ShardedFleet b(spec, kSeed, VSchedOptions::Cfs(), /*shards=*/4);
   b.SetEventBudgetPerCell(2000);
   EXPECT_THROW(b.Run(MsToNs(1000)), SimBudgetExceeded);
+}
+
+TEST(ShardedFleet, BudgetTripDropsPlannedActionsAndTearsDownCleanly) {
+  // The trip lands mid-phase while the tripping cell's inbox still holds
+  // actions the coordinator planned for later instants of the phase: a
+  // placement whose stack was never built, or a departure whose stack was
+  // never torn down. Both shard counts must rethrow the same trip after the
+  // same dispatches, and teardown (the destructor's Finish) must skip the
+  // unbuilt stacks and free the rest — the asan-ubsan job checks the latter.
+  constexpr uint64_t kTripBudget = 1250;  // trips mid-phase, well before the horizon
+  std::string what[2];
+  uint64_t dispatched[2] = {0, 0};
+  int run = 0;
+  for (int shards : {1, 4}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    ShardedFleet fleet(Tiny(), kSeed, VSchedOptions::Full(), shards);
+    fleet.SetEventBudgetPerCell(kTripBudget);
+    try {
+      fleet.Run(MsToNs(1000));
+      ADD_FAILURE() << "the event budget never tripped";
+    } catch (const SimBudgetExceeded& e) {
+      what[run] = e.what();
+    }
+    int ahead_of_stack = 0;
+    for (int id = 0; id < fleet.num_tenants(); ++id) {
+      const TenantVm& tenant = fleet.tenant(id);
+      bool live = tenant.placed && !tenant.departed;
+      if (live != (tenant.vm != nullptr)) {
+        ++ahead_of_stack;
+      }
+    }
+    EXPECT_GT(ahead_of_stack, 0);
+    dispatched[run] = fleet.events_dispatched();
+    ++run;
+  }
+  EXPECT_FALSE(what[0].empty());
+  EXPECT_EQ(what[0], what[1]);
+  EXPECT_EQ(dispatched[0], dispatched[1]);
 }
 
 }  // namespace

@@ -38,9 +38,10 @@ const SinkSpec kSinks[] = {
     {"PostBatch", false, /*factory=*/true},
 };
 
-// The sharded fleet engine's barrier mailbox (src/sim/shard_mailbox.h): a
-// closure handed to `ShardMailbox::Post` is applied at a *later* window
-// boundary, possibly after the cell it refers to ran on a worker thread.
+// The sharded fleet engine's mailbox and cell inboxes
+// (src/sim/shard_mailbox.h): a closure handed to `ShardMailbox::Post` is
+// applied at a *later* instant, possibly after, or on, the worker thread
+// that runs the cell it refers to.
 // The shard-crossing rule makes those closures carry ids only. Qualified so
 // an unrelated free function named Post can't match.
 const SinkSpec kMailboxSinks[] = {{"Post", true}};
@@ -603,12 +604,12 @@ class Analyzer {
     }
   }
 
-  // Shard-crossing discipline for barrier-mailbox messages: ids only. A
-  // reference (or [&]) can never be safe across the window delay, and a raw
+  // Shard-crossing discipline for mailbox and inbox messages: ids only. A
+  // reference (or [&]) can never be safe across the delay, and a raw
   // pointer to cell state aliases memory another worker thread owns by the
-  // time the message is applied. `this` stays legal — the coordinator drains
-  // the mailbox single-threaded and the mailbox dies with its owner, which
-  // is also why this sink is *not* an event-lifetime sink.
+  // time the message is applied. `this` stays legal — every mailbox dies
+  // with its owner, which posts only while the cells are parked; that is
+  // also why this sink is *not* an event-lifetime sink.
   void CheckMailboxLambda(size_t sink_idx, const LambdaInfo& info) {
     if (!info.valid) {
       return;

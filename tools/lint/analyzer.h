@@ -42,15 +42,16 @@
 //     HostLoadView snapshots only.
 //
 //   shard-crossing — the sharded PDES engine's isolation contract (see
-//     docs/PERF.md, "Sharded fleet execution"): a closure posted to the
-//     barrier mailbox (`ShardMailbox::Post`) is delivered at a *later window*,
-//     possibly after the referenced cell ran concurrently — it must carry
-//     ids and re-resolve cell-local state at delivery, never FleetCell /
-//     Simulation / slot pointers or references; and per-cell scopes
-//     (functions taking a FleetCell*) must not reach the engine-wide
+//     docs/PERF.md, "Sharded fleet execution"): a closure posted to a
+//     `ShardMailbox` (the control-plane mailbox or a cell's inbox) is
+//     applied at a *later instant*, possibly after the referenced cell ran
+//     concurrently, and an inbox closure runs on that cell's worker thread —
+//     it must carry ids and re-resolve cell-local state at delivery, never
+//     FleetCell / Simulation / slot pointers or references; and per-cell
+//     scopes (functions taking a FleetCell*) must not reach the engine-wide
 //     `cells_` array — cross-cell effects travel as mailbox messages only.
-//     `this` is allowed in mailbox closures: the coordinator drains the
-//     mailbox single-threaded and the mailbox dies with its owner.
+//     `this` is allowed in mailbox closures: every mailbox dies with its
+//     owner, which posts only while the cells are parked.
 #ifndef TOOLS_LINT_ANALYZER_H_
 #define TOOLS_LINT_ANALYZER_H_
 
