@@ -8,8 +8,9 @@
 // Experiments: fig18_rcvm (default), fig19_hpvm, fig02, all. --fleet PRESET
 // instead sweeps a cluster-scale fleet (docs/CLUSTER.md) head-to-head
 // {cfs, vsched}.
-// JSONL rows go to --out (or stdout); the human report and wall-clock
-// summary go to stdout (or stderr when rows occupy stdout). Rows are
+// JSONL rows go to --out (or stdout); the human report (the paper's table for
+// fig02, fig18_rcvm and fig19_hpvm rows, then the wall-clock summary) goes to
+// stdout (or stderr when rows occupy stdout). Rows are
 // byte-identical for any --jobs value. SIGINT drains in-flight runs, flushes
 // every finished row (a valid --resume checkpoint) and exits 130. See
 // docs/RUNNER.md and docs/ROBUSTNESS.md.
@@ -25,12 +26,14 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "src/base/audit.h"
 #include "src/cluster/fleet_spec.h"
 #include "src/fault/fault_plan.h"
+#include "src/metrics/experiment.h"
 #include "src/runner/report.h"
 #include "src/runner/result_sink.h"
 #include "src/runner/resume.h"
@@ -253,6 +256,35 @@ ExperimentSpec BuildSweep(const CliOptions& cli) {
   return sweep;
 }
 
+// Prints each paper figure's table and claim over the cells this invocation
+// executed, in sweep order (rows reused by --resume are not re-read).
+void PrintFigureTables(const std::vector<RunResult>& results, std::FILE* out) {
+  auto rows_of = [&](ExperimentFamily family) {
+    std::vector<RunResult> rows;
+    std::copy_if(results.begin(), results.end(), std::back_inserter(rows),
+                 [&](const RunResult& result) { return result.spec.family == family; });
+    return rows;
+  };
+  if (auto rows = rows_of(ExperimentFamily::kOverallRcvm); !rows.empty()) {
+    PrintBanner("Figure 18", "rcvm: CFS vs enhanced CFS vs vSched (31 workloads)", out);
+    PrintOverallReport("rcvm", rows, out);
+    std::fprintf(out, "\nPaper (Fig 18): enhanced CFS 1.4x lower latency / +59%% throughput;\n"
+                      "vSched 1.6x lower latency / +69%% throughput on average vs CFS.\n");
+  }
+  if (auto rows = rows_of(ExperimentFamily::kOverallHpvm); !rows.empty()) {
+    PrintBanner("Figure 19", "hpvm: CFS vs enhanced CFS vs vSched (31 workloads)", out);
+    PrintOverallReport("hpvm", rows, out);
+    std::fprintf(out, "\nPaper (Fig 19): enhanced CFS 1.5x lower latency / +13%% throughput;\n"
+                      "vSched 2.3x lower latency / +18%% throughput on average vs CFS.\n");
+  }
+  if (auto rows = rows_of(ExperimentFamily::kVcpuLatency); !rows.empty()) {
+    PrintBanner("Figure 2",
+                "Impact of vCPU latency on p95 tail latency (normalized to 16 ms)", out);
+    PrintVcpuLatencyReport(rows, out);
+    std::fprintf(out, "\nPaper: p95 grows up to ~20x from 2 ms to 16 ms vCPU latency.\n");
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -367,6 +399,7 @@ int main(int argc, char** argv) {
   }
   rows->flush();
 
+  PrintFigureTables(results, human);
   PrintRunSummary(results, elapsed.count(), human);
   if (interrupted) {
     std::fprintf(human, "interrupted: partial results flushed; rerun with --resume %s\n",

@@ -141,7 +141,7 @@ struct FleetSpec {
 // Canned presets, smallest to largest:
 //   tiny  —    4 hosts,   10 VMs x 2 vCPU (CI smoke / determinism ctest)
 //   small —   16 hosts,   48 VMs x 4 vCPU
-//   rack  —   64 hosts,  256 VMs x 4 vCPU (bench_perf_core fleet_small)
+//   rack  —   64 hosts,  256 VMs x 4 vCPU (multi-cell --shards CI checks)
 //   dc    — 1000 hosts, 4000 VMs x 4 vCPU (the headline scale target)
 bool LookupFleetSpec(const std::string& name, FleetSpec* spec);
 std::vector<std::string> FleetSpecNames();

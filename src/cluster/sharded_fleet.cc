@@ -730,7 +730,7 @@ void ShardedFleet::MaybeConsolidate(TimeNs now) {
   // fits the VM, independent of the arrival-placement policy. Asking the
   // spreading policy here is self-defeating: it returns the *least*
   // committed host, which is never strictly busier than a drain source, so
-  // consolidation silently never fires (the fleet_small bench once sat at
+  // consolidation silently never fires (a rack-preset benchmark once sat at
   // zero migrations for exactly this reason).
   FleetCell* cell = CellOfHost(source->id);
   ClusterHost* dest = nullptr;

@@ -136,7 +136,7 @@ void TablePrinter::AddRow(std::vector<std::string> cells) {
   rows_.push_back(std::move(cells));
 }
 
-void TablePrinter::Print() const {
+void TablePrinter::Print(std::FILE* out) const {
   std::vector<size_t> widths(headers_.size());
   for (size_t c = 0; c < headers_.size(); ++c) {
     widths[c] = headers_[c].size();
@@ -146,9 +146,9 @@ void TablePrinter::Print() const {
   }
   auto print_row = [&](const std::vector<std::string>& row) {
     for (size_t c = 0; c < row.size(); ++c) {
-      std::printf("%-*s", static_cast<int>(widths[c] + 2), row[c].c_str());
+      std::fprintf(out, "%-*s", static_cast<int>(widths[c] + 2), row[c].c_str());
     }
-    std::printf("\n");
+    std::fprintf(out, "\n");
   };
   print_row(headers_);
   size_t total = 0;
@@ -156,9 +156,9 @@ void TablePrinter::Print() const {
     total += w + 2;
   }
   for (size_t i = 0; i < total; ++i) {
-    std::printf("-");
+    std::fputc('-', out);
   }
-  std::printf("\n");
+  std::fprintf(out, "\n");
   for (const auto& row : rows_) {
     print_row(row);
   }
@@ -176,10 +176,10 @@ std::string TablePrinter::Pct(double value, int precision) {
   return buf;
 }
 
-void PrintBanner(const std::string& id, const std::string& title) {
-  std::printf("\n==============================================================\n");
-  std::printf("%s — %s\n", id.c_str(), title.c_str());
-  std::printf("==============================================================\n");
+void PrintBanner(const std::string& id, const std::string& title, std::FILE* out) {
+  std::fprintf(out, "\n==============================================================\n");
+  std::fprintf(out, "%s — %s\n", id.c_str(), title.c_str());
+  std::fprintf(out, "==============================================================\n");
 }
 
 }  // namespace vsched

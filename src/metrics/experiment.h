@@ -3,6 +3,7 @@
 #ifndef SRC_METRICS_EXPERIMENT_H_
 #define SRC_METRICS_EXPERIMENT_H_
 
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
@@ -80,8 +81,8 @@ class TablePrinter {
   explicit TablePrinter(std::vector<std::string> headers);
 
   void AddRow(std::vector<std::string> cells);
-  // Renders with aligned columns to stdout.
-  void Print() const;
+  // Renders with aligned columns to `out`.
+  void Print(std::FILE* out = stdout) const;
 
   static std::string Fmt(double value, int precision = 2);
   static std::string Pct(double value, int precision = 1);
@@ -92,7 +93,7 @@ class TablePrinter {
 };
 
 // Prints a section banner for a figure/table reproduction.
-void PrintBanner(const std::string& id, const std::string& title);
+void PrintBanner(const std::string& id, const std::string& title, std::FILE* out = stdout);
 
 }  // namespace vsched
 

@@ -8,7 +8,8 @@
 
 namespace vsched {
 
-void PrintOverallReport(const std::string& banner_id, const std::vector<RunResult>& results) {
+void PrintOverallReport(const std::string& banner_id, const std::vector<RunResult>& results,
+                        std::FILE* out) {
   // Group by workload, preserving first-appearance order.
   std::vector<std::string> order;
   std::map<std::string, std::map<std::string, double>> perf;  // workload -> config -> perf
@@ -41,22 +42,25 @@ void PrintOverallReport(const std::string& banner_id, const std::vector<RunResul
       (latency_sensitive ? lat_full : tput_full).push_back(full / cfs);
     }
   }
-  table.Print();
-  std::printf("\n%s summary (normalized performance vs CFS, higher is better; for\n"
-              "latency-sensitive apps the metric is 1/p95):\n", banner_id.c_str());
+  table.Print(out);
+  std::fprintf(out,
+               "\n%s summary (normalized performance vs CFS, higher is better; for\n"
+               "latency-sensitive apps the metric is 1/p95):\n",
+               banner_id.c_str());
   if (!tput_enh.empty()) {
-    std::printf("  throughput-oriented: enhanced CFS %.0f%%, vSched %.0f%%\n",
-                100.0 * GeoMean(tput_enh), 100.0 * GeoMean(tput_full));
+    std::fprintf(out, "  throughput-oriented: enhanced CFS %.0f%%, vSched %.0f%%\n",
+                 100.0 * GeoMean(tput_enh), 100.0 * GeoMean(tput_full));
   }
   if (!lat_enh.empty()) {
-    std::printf("  latency-sensitive:   enhanced CFS %.0f%% (%.2fx p95 reduction), vSched %.0f%%"
-                " (%.2fx p95 reduction)\n",
-                100.0 * GeoMean(lat_enh), GeoMean(lat_enh), 100.0 * GeoMean(lat_full),
-                GeoMean(lat_full));
+    std::fprintf(out,
+                 "  latency-sensitive:   enhanced CFS %.0f%% (%.2fx p95 reduction), vSched %.0f%%"
+                 " (%.2fx p95 reduction)\n",
+                 100.0 * GeoMean(lat_enh), GeoMean(lat_enh), 100.0 * GeoMean(lat_full),
+                 GeoMean(lat_full));
   }
 }
 
-void PrintVcpuLatencyReport(const std::vector<RunResult>& results) {
+void PrintVcpuLatencyReport(const std::vector<RunResult>& results, std::FILE* out) {
   for (bool best_effort : {false, true}) {
     // app -> vcpu latency -> p95
     std::vector<std::string> order;
@@ -73,7 +77,7 @@ void PrintVcpuLatencyReport(const std::vector<RunResult>& results) {
     if (order.empty()) {
       continue;
     }
-    std::printf("\n%s best-effort tasks:\n", best_effort ? "With" : "Without");
+    std::fprintf(out, "\n%s best-effort tasks:\n", best_effort ? "With" : "Without");
     TablePrinter table({"App", "2 ms", "4 ms", "8 ms", "16 ms", "p95@2ms", "p95@16ms"});
     for (const std::string& app : order) {
       auto& by_latency = p95[app];
@@ -88,7 +92,7 @@ void PrintVcpuLatencyReport(const std::vector<RunResult>& results) {
                         " ms",
                     TablePrinter::Fmt(NsToMs(static_cast<TimeNs>(base)), 2) + " ms"});
     }
-    table.Print();
+    table.Print(out);
   }
 }
 

@@ -292,10 +292,10 @@ RunMetrics ExecuteOverallRun(const RunSpec& spec) {
   return metrics;
 }
 
-// Figure 2 protocol (previously inline in bench_fig02_vcpu_latency): a flat
-// 32-vCPU VM time-sharing every core with a stressor; the host granularity
-// knobs shape how long a runnable vCPU waits for the competitor's slice —
-// i.e. the vCPU latency — without changing capacity.
+// Figure 2 protocol: a flat 32-vCPU VM time-sharing every core with a
+// stressor; the host granularity knobs shape how long a runnable vCPU waits
+// for the competitor's slice — i.e. the vCPU latency — without changing
+// capacity.
 RunMetrics ExecuteVcpuLatencyRun(const RunSpec& spec) {
   const int kVcpus = 32;
   VmSpec vm_spec = MakeSimpleVmSpec("vm", kVcpus);

@@ -5,7 +5,7 @@
 // pointers plus a small value — just over that line. EventCallback keeps a
 // 48-byte inline buffer so the steady-state event loop performs zero
 // allocations; oversized callables still work via a counted heap fallback
-// (PerfCounters::callback_heap_allocs, watched by bench_perf_core).
+// (PerfCounters::callback_heap_allocs, perfbench's sim.callback_heap_allocs).
 #ifndef SRC_SIM_EVENT_CALLBACK_H_
 #define SRC_SIM_EVENT_CALLBACK_H_
 
