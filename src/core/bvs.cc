@@ -10,7 +10,14 @@ namespace vsched {
 Bvs::Bvs(GuestKernel* kernel, Vcap* vcap, Vact* vact, BvsConfig config)
     : kernel_(kernel), vcap_(vcap), vact_(vact), config_(config) {}
 
+Bvs::~Bvs() {
+  if (installed_) {
+    kernel_->set_select_hook(nullptr);  // The hook captures this Bvs.
+  }
+}
+
 void Bvs::Install() {
+  installed_ = true;
   kernel_->set_select_hook(
       [this](Task* t, int prev, int waker) { return SelectVcpu(t, prev, waker); });
 }
@@ -29,12 +36,8 @@ bool Bvs::AcceptableVcpu(const GuestVcpu& v, double median_cap, double median_la
     // Empty runqueue: low latency + prolonged idleness → wakes up quickly.
     return low_latency && (now - v.idle_since()) >= config_.min_idle_time;
   }
-  bool only_idle_queue =
-      (v.current() == nullptr || v.current()->policy() == TaskPolicy::kIdle) &&
-      (v.rq().empty() || v.rq().OnlyIdleTasks());
-  if (!only_idle_queue) {
-    return false;  // Normal work present: placing here would queue behind it.
-  }
+  // Only SCHED_IDLE work here (SelectVcpu offers no vCPU with normal work:
+  // placing there would queue behind it).
   if (!config_.check_state) {
     // Ablation (Table 3): ignore the vCPU state, accept on latency alone.
     return low_latency;
@@ -69,17 +72,12 @@ int Bvs::SelectVcpu(Task* task, int prev_cpu, int waker_cpu) {
   }
   double median_cap = vcap_->MedianCapacity();
   double median_lat = vact_->MedianLatency();
-  CpuMask allowed = kernel_->EffectiveAllowed(task);
-  int n = kernel_->num_vcpus();
+  CpuMask candidates = kernel_->EffectiveAllowed(task) & kernel_->NoNormalWorkMask();
   int start = rotor_;
-  rotor_ = (rotor_ + 1) % n;
+  rotor_ = (rotor_ + 1) % kernel_->num_vcpus();
   // First-fit over an aggressive, domain-unconstrained scan (§3.2: bvs is
   // not limited to the preferred LLC domain).
-  for (int k = 0; k < n; ++k) {
-    int cpu = (start + k) % n;
-    if (!allowed.Test(cpu)) {
-      continue;
-    }
+  for (int cpu : candidates.RotatedFrom(start)) {
     if (AcceptableVcpu(kernel_->vcpu(cpu), median_cap, median_lat)) {
       ++placements_;
       return cpu;

@@ -24,6 +24,8 @@ class Vcap;
 class Bvs {
  public:
   Bvs(GuestKernel* kernel, Vcap* vcap, Vact* vact, BvsConfig config = BvsConfig{});
+  // Removes the select hook, so the kernel may outlive this Bvs.
+  ~Bvs();
 
   Bvs(const Bvs&) = delete;
   Bvs& operator=(const Bvs&) = delete;
@@ -49,6 +51,7 @@ class Bvs {
   Vcap* vcap_;
   Vact* vact_;
   BvsConfig config_;
+  bool installed_ = false;
   bool degraded_ = false;
   uint64_t placements_ = 0;
   uint64_t fallbacks_ = 0;

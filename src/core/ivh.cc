@@ -68,22 +68,12 @@ void Ivh::OnTick(GuestVcpu* v, TimeNs now) {
 }
 
 int Ivh::FindTarget(Task* task, int src, TimeNs now) {
-  CpuMask allowed = kernel_->EffectiveAllowed(task);
+  // Target must be unused by normal work (so never `src`, which runs `task`).
+  CpuMask candidates = kernel_->EffectiveAllowed(task) & kernel_->NoNormalWorkMask();
   double src_cap = vcap_->CapacityOf(src);
   int best = -1;
   int best_score = 1 << 30;
-  for (int cpu : allowed) {
-    if (cpu == src) {
-      continue;
-    }
-    const GuestVcpu& t = kernel_->vcpu(cpu);
-    // Target must be unused by normal work.
-    bool free_of_normal =
-        (t.current() == nullptr || t.current()->policy() == TaskPolicy::kIdle) &&
-        t.rq().normal_count() == 0;
-    if (!free_of_normal) {
-      continue;
-    }
+  for (int cpu : candidates) {
     if (vcap_->CapacityOf(cpu) < 0.5 * src_cap) {
       continue;  // Too weak to be worth harvesting onto.
     }

@@ -31,6 +31,9 @@ class CpuMask {
   }
   void Set(int cpu) { bits_ |= (1ULL << cpu); }
   void Clear(int cpu) { bits_ &= ~(1ULL << cpu); }
+  void Assign(int cpu, bool on) {
+    bits_ = (bits_ & ~(1ULL << cpu)) | (static_cast<uint64_t>(on) << cpu);
+  }
 
   bool Empty() const { return bits_ == 0; }
   int Count() const { return std::popcount(bits_); }
@@ -69,6 +72,39 @@ class CpuMask {
   };
   Iterator begin() const { return Iterator(bits_); }
   Iterator end() const { return Iterator(0); }
+
+  // Rotated iteration: for (int cpu : mask.RotatedFrom(start)) visits the set
+  // bits at or above `start` in ascending order, then the ones below it. For
+  // a mask within FirstN(n) that is the order of the scan
+  // `for (k = 0; k < n; ++k) cpu = (start + k) % n` restricted to the mask.
+  class RotatedRange {
+   public:
+    class Iterator {
+     public:
+      Iterator(uint64_t rotated, int start) : rotated_(rotated), start_(start) {}
+      int operator*() const { return (std::countr_zero(rotated_) + start_) & 63; }
+      Iterator& operator++() {
+        rotated_ &= rotated_ - 1;
+        return *this;
+      }
+      bool operator!=(const Iterator& other) const { return rotated_ != other.rotated_; }
+
+     private:
+      uint64_t rotated_;
+      int start_;
+    };
+    RotatedRange(uint64_t bits, int start) : rotated_(std::rotr(bits, start)), start_(start) {}
+    Iterator begin() const { return Iterator(rotated_, start_); }
+    Iterator end() const { return Iterator(0, start_); }
+
+   private:
+    uint64_t rotated_;
+    int start_;
+  };
+  RotatedRange RotatedFrom(int start) const {
+    VSCHED_CHECK(start >= 0 && start < 64);
+    return RotatedRange(bits_, start);
+  }
 
  private:
   uint64_t bits_ = 0;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <utility>
 
+#include "src/base/audit.h"
 #include "src/base/check.h"
 #include "src/base/decay.h"
 #include "src/base/log.h"
@@ -38,6 +39,7 @@ GuestKernel::GuestKernel(Simulation* sim, HostMachine* machine, std::vector<Vcpu
   }
   topology_ = GuestTopology::FlatUma(n);
   capacity_override_.assign(n, -1.0);
+  idle_ = CpuMask::FirstN(n);
   tick_timers_.reserve(static_cast<size_t>(n));
   tick_origins_.reserve(static_cast<size_t>(n));
   std::vector<std::pair<TimerId, TimeNs>> arm_batch;
@@ -74,6 +76,28 @@ void GuestKernel::RemoveRunWatcher(RunChangeWatcher* watcher) {
   auto it = std::find(run_watchers_.begin(), run_watchers_.end(), watcher);
   VSCHED_CHECK_MSG(it != run_watchers_.end(), "removing an unregistered run watcher");
   run_watchers_.erase(it);
+}
+
+void GuestKernel::AuditVerify() const {
+  CpuMask queued_normal;
+  CpuMask queued_idle;
+  CpuMask idle;
+  CpuMask running_normal;
+  for (const auto& v : vcpus_) {
+    const int cpu = v->index();
+    queued_normal.Assign(cpu, v->rq_.normal_count() > 0);
+    queued_idle.Assign(cpu, v->rq_.idle_count() > 0);
+    idle.Assign(cpu, v->IsIdle());
+    running_normal.Assign(cpu, v->current_ != nullptr &&
+                                   v->current_->policy() == TaskPolicy::kNormal);
+  }
+  VSCHED_AUDIT_CHECK(queued_normal == queued_normal_,
+                     "queued_normal mask disagrees with the runqueues");
+  VSCHED_AUDIT_CHECK(queued_idle == queued_idle_,
+                     "queued_idle mask disagrees with the runqueues");
+  VSCHED_AUDIT_CHECK(idle == idle_, "idle mask disagrees with the vCPUs");
+  VSCHED_AUDIT_CHECK(running_normal == running_normal_,
+                     "running_normal mask disagrees with the current tasks");
 }
 
 // ---------------------------------------------------------------------------
@@ -234,45 +258,11 @@ CpuMask GuestKernel::EffectiveAllowed(const Task* task) const {
   return m;
 }
 
-namespace {
-
-// Placement-idleness: like Linux's sched_idle_cpu(), a vCPU running only
-// SCHED_IDLE work counts as idle for wake placement — a waking fair task
-// preempts best-effort work immediately.
-bool IdleForPlacement(const GuestVcpu& v, TaskPolicy policy) {
-  (void)policy;
-  if (v.IsIdle()) {
-    return true;
-  }
-  bool current_idle = v.current() == nullptr || v.current()->policy() == TaskPolicy::kIdle;
-  return current_idle && (v.rq().empty() || v.rq().OnlyIdleTasks());
-}
-
-}  // namespace
-
 int GuestKernel::ScanForIdle(CpuMask domain, bool want_idle_core, int scan_from) {
-  int n = num_vcpus();
-  for (int k = 0; k < n; ++k) {
-    int cpu = (scan_from + k) % n;
-    if (!domain.Test(cpu)) {
-      continue;
+  for (int cpu : (domain & idle_).RotatedFrom(scan_from)) {
+    if (!want_idle_core || (topology_.smt_mask[cpu] & ~idle_).Empty()) {
+      return cpu;
     }
-    if (!vcpus_[cpu]->IsIdle()) {
-      continue;
-    }
-    if (want_idle_core) {
-      bool core_idle = true;
-      for (int sib : topology_.smt_mask[cpu]) {
-        if (!vcpus_[sib]->IsIdle()) {
-          core_idle = false;
-          break;
-        }
-      }
-      if (!core_idle) {
-        continue;
-      }
-    }
-    return cpu;
   }
   return -1;
 }
@@ -300,6 +290,10 @@ int GuestKernel::SelectTaskRqCfs(Task* task, int prev_cpu, int waker_cpu) {
   int scan_from = scan_rotor_;
   scan_rotor_ = (scan_rotor_ + 7) % std::max(1, num_vcpus());
 
+  // A vCPU running only SCHED_IDLE work counts as idle for wake placement:
+  // a waking fair task preempts best-effort work immediately.
+  const CpuMask placement_idle = NoNormalWorkMask();
+
   // Asymmetric-capacity path (select_idle_capacity): scan for the first
   // idle vCPU whose capacity fits the task's utilization; remember the
   // strongest seen as a fallback. Enabled only when the topology declares
@@ -308,11 +302,7 @@ int GuestKernel::SelectTaskRqCfs(Task* task, int prev_cpu, int waker_cpu) {
     double need = task->UtilAt(sim_->now()) * 1.2;
     int best = -1;
     double best_cap = 0;
-    for (int k = 0; k < num_vcpus(); ++k) {
-      int cpu = (scan_from + k) % num_vcpus();
-      if (!allowed.Test(cpu) || !IdleForPlacement(*vcpus_[cpu], task->policy())) {
-        continue;
-      }
+    for (int cpu : (allowed & placement_idle).RotatedFrom(scan_from)) {
       double c = CfsCapacityOf(cpu);
       if (c >= need) {
         return cpu;
@@ -338,11 +328,9 @@ int GuestKernel::SelectTaskRqCfs(Task* task, int prev_cpu, int waker_cpu) {
     return cpu;
   }
   // Pass 2b: SCHED_IDLE-only queues count as idle for placement.
-  for (int k = 0; k < num_vcpus(); ++k) {
-    int c = (scan_from + k) % num_vcpus();
-    if (domain.Test(c) && IdleForPlacement(*vcpus_[c], task->policy())) {
-      return c;
-    }
+  CpuMask idle_for_placement = domain & placement_idle;
+  if (!idle_for_placement.Empty()) {
+    return *idle_for_placement.RotatedFrom(scan_from).begin();
   }
   // Pass 3: least-loaded (normalized by capacity) in the domain.
   int best = target;
@@ -385,6 +373,7 @@ void GuestKernel::EnqueueTask(Task* task, int cpu, bool wakeup, int waker_cpu) {
   task->vdeadline_ = task->vruntime_ + static_cast<double>(params_->min_granularity) *
                                            (kCapacityScale / task->weight());
   v.rq_.Enqueue(task);
+  UpdateCandidateMasks(v);
 
   bool was_halted = !v.thread()->wants_to_run();
   if (was_halted && waker_cpu >= 0 && waker_cpu != cpu) {
@@ -482,6 +471,7 @@ bool GuestKernel::MigrateQueuedTask(Task* task, int to_cpu) {
     return true;
   }
   from.rq_.Dequeue(task);
+  UpdateCandidateMasks(from);
   from.UpdateHostDemand();
   EnqueueTask(task, to_cpu, /*wakeup=*/false, /*waker_cpu=*/-1);
   return true;
@@ -713,10 +703,7 @@ void GuestKernel::MisfitCheck(GuestVcpu* v, TimeNs now) {
   CpuMask allowed = EffectiveAllowed(curr);
   int best = -1;
   double best_cap = cap * params_->misfit_capacity_margin;
-  for (int c : allowed) {
-    if (c == v->index() || !vcpus_[c]->IsIdle()) {
-      continue;
-    }
+  for (int c : allowed & idle_) {  // never v itself: it runs curr
     double cc = CfsCapacityOf(c);
     if (cc > best_cap) {
       best_cap = cc;
@@ -774,14 +761,8 @@ void GuestKernel::PeriodicBalance(GuestVcpu* v, TimeNs now) {
           now - t->last_migration_time_ < params_->migration_cooldown) {
         continue;
       }
-      CpuMask allowed = EffectiveAllowed(t);
-      int dest = -1;
-      for (int c : allowed) {
-        if (c != v->index() && vcpus_[c]->IsIdle()) {
-          dest = c;
-          break;
-        }
-      }
+      // The lowest idle vCPU; never v itself, whose queue holds t.
+      int dest = (EffectiveAllowed(t) & idle_).First();
       if (dest >= 0) {
         MigrateQueuedTask(t, dest);
         return;
@@ -806,10 +787,7 @@ void GuestKernel::PeriodicBalance(GuestVcpu* v, TimeNs now) {
   }
   double my_cap = CfsCapacityOf(v->index());
   CpuMask allowed = EffectiveAllowed(curr);
-  for (int c : allowed) {
-    if (c == v->index() || !vcpus_[c]->IsIdle()) {
-      continue;
-    }
+  for (int c : allowed & idle_) {  // never v itself: it runs curr
     if (CfsCapacityOf(c) > my_cap * params_->imbalance_pct) {
       v->next_active_balance_ = now + params_->active_balance_interval;
       MigrateRunningTask(curr, v->index(), c);
@@ -821,22 +799,14 @@ void GuestKernel::PeriodicBalance(GuestVcpu* v, TimeNs now) {
 bool GuestKernel::TryPullInto(GuestVcpu* v, CpuMask domain, bool idle_pull, TimeNs now) {
   (void)now;
   int me = v->index();
-  double my_load = v->rq_.load();
-  if (v->current_ != nullptr && v->current_->policy() == TaskPolicy::kNormal) {
-    my_load += v->current_->weight();
-  }
-  double my_ratio = my_load / std::max(1.0, CfsCapacityOf(me));
+  CpuMask others = domain & ~CpuMask::Single(me);
 
+  // Only a queued normal task is stealable (the running task is not pulled
+  // here), so the search visits just the vCPUs that hold one.
   GuestVcpu* busiest = nullptr;
   double busiest_ratio = 0;
-  for (int c : domain) {
-    if (c == me) {
-      continue;
-    }
+  for (int c : others & queued_normal_) {
     GuestVcpu* src = vcpus_[c].get();
-    if (src->rq_.normal_count() == 0) {
-      continue;  // Nothing stealable (running task is not pulled here).
-    }
     double load = src->rq_.load();
     if (src->current_ != nullptr && src->current_->policy() == TaskPolicy::kNormal) {
       load += src->current_->weight();
@@ -849,6 +819,11 @@ bool GuestKernel::TryPullInto(GuestVcpu* v, CpuMask domain, bool idle_pull, Time
   }
 
   if (busiest != nullptr) {
+    double my_load = v->rq_.load();
+    if (v->current_ != nullptr && v->current_->policy() == TaskPolicy::kNormal) {
+      my_load += v->current_->weight();
+    }
+    double my_ratio = my_load / std::max(1.0, CfsCapacityOf(me));
     bool imbalanced = idle_pull || busiest_ratio > my_ratio * params_->imbalance_pct + 1e-9;
     if (imbalanced) {
       // Steal the task with the largest vruntime (coldest cache, CFS-style
@@ -880,14 +855,8 @@ bool GuestKernel::TryPullInto(GuestVcpu* v, CpuMask domain, bool idle_pull, Time
   // Idle pull of best-effort tasks: a completely idle vCPU may harvest a
   // queued SCHED_IDLE task so best-effort work spreads.
   if (idle_pull && v->IsIdle()) {
-    for (int c : domain) {
-      if (c == me) {
-        continue;
-      }
+    for (int c : others & queued_idle_) {
       GuestVcpu* src = vcpus_[c].get();
-      if (src->rq_.idle_count() == 0) {
-        continue;
-      }
       Task* pick = nullptr;
       src->rq_.ForEach([&](Task* t) {
         if (t->policy() == TaskPolicy::kIdle && EffectiveAllowed(t).Test(me)) {

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "src/base/audit.h"
 #include "src/base/time.h"
 #include "src/guest/cpumask.h"
 #include "src/guest/guest_topology.h"
@@ -167,6 +168,19 @@ class GuestKernel {
   // Affinity actually usable by `task` right now.
   CpuMask EffectiveAllowed(const Task* task) const;
 
+  // vCPUs with no normal task queued or running. Like Linux's
+  // sched_idle_cpu(), SCHED_IDLE work alone does not keep a waking fair task
+  // waiting, so wake placement (CFS's, bvs's) and ivh's harvest targets
+  // treat these vCPUs as free.
+  CpuMask NoNormalWorkMask() const {
+    return CpuMask::FirstN(num_vcpus()) & ~(queued_normal_ | running_normal_);
+  }
+
+  // Recomputes the candidate masks from every vCPU and reports any
+  // disagreement through src/base/audit.h. Runs after every mask update
+  // while auditing is enabled; safe to call directly at any time.
+  void AuditVerify() const;
+
   // Preemption rule shared by wakeups, burst boundaries, and ticks: a higher
   // class always preempts; within a class, `next` must lead by more than the
   // wakeup granularity in vruntime.
@@ -222,6 +236,23 @@ class GuestKernel {
 
  private:
   friend class GuestVcpu;
+  // Deliberate-corruption backdoor for the audit tests (tests/audit/).
+  friend struct AuditTestAccess;
+
+  // Re-derives `v`'s bits in the candidate masks. Called after every change
+  // of a runqueue or a current task (GuestKernel::EnqueueTask and
+  // MigrateQueuedTask, GuestVcpu::Dispatch, PutCurrent and Reschedule).
+  void UpdateCandidateMasks(const GuestVcpu& v) {
+    const int cpu = v.index();
+    queued_normal_.Assign(cpu, v.rq_.normal_count() > 0);
+    queued_idle_.Assign(cpu, v.rq_.idle_count() > 0);
+    idle_.Assign(cpu, v.IsIdle());
+    running_normal_.Assign(cpu,
+                           v.current_ != nullptr && v.current_->policy() == TaskPolicy::kNormal);
+    if (audit::Enabled()) {
+      AuditVerify();
+    }
+  }
 
   // CFS wake placement (select_task_rq_fair analogue).
   int SelectTaskRqCfs(Task* task, int prev_cpu, int waker_cpu);
@@ -285,6 +316,16 @@ class GuestKernel {
 
   KernelCounters counters_;
   int scan_rotor_ = 0;
+
+  // Candidate masks (Linux keeps root_domain->overload and
+  // nohz.idle_cpus_mask for the same purpose): the balance and placement
+  // scans iterate `domain & mask` instead of testing every vCPU, in the same
+  // order, so every tie-break is unchanged. Kept current by
+  // UpdateCandidateMasks; no other code writes them.
+  CpuMask queued_normal_;   // runqueue holds a normal task
+  CpuMask queued_idle_;     // runqueue holds a SCHED_IDLE task
+  CpuMask idle_;            // GuestVcpu::IsIdle()
+  CpuMask running_normal_;  // current task is normal
 
   // One registered wheel timer per vCPU, re-armed in place every period.
   // (This replaces a vector of per-firing heap EventIds, which kept stale

@@ -151,6 +151,7 @@ void GuestVcpu::Dispatch(Task* next, TimeNs now) {
                      static_cast<double>(kernel_->params().min_granularity) *
                          (kCapacityScale / next->weight());
   current_ = next;
+  kernel_->UpdateCandidateMasks(*this);
   kernel_->NotifyRunChange(index_);
   kernel_->counters().context_switches.Inc();
   UpdateHostDemand();
@@ -164,6 +165,7 @@ void GuestVcpu::PutCurrent(TimeNs now, bool requeue) {
   CloseSegment(now);
   Task* prev = current_;
   current_ = nullptr;
+  kernel_->UpdateCandidateMasks(*this);
   kernel_->NotifyRunChange(index_);
   if (requeue) {
     prev->state_ = TaskState::kRunnable;
@@ -172,6 +174,7 @@ void GuestVcpu::PutCurrent(TimeNs now, bool requeue) {
     // vsched-lint: allow(pelt-eager-update)
     prev->pelt_->Update(now, /*active=*/false);
     rq_.Enqueue(prev);
+    kernel_->UpdateCandidateMasks(*this);
   }
 }
 
@@ -184,6 +187,7 @@ void GuestVcpu::Reschedule(TimeNs now) {
   if (current_ == nullptr) {
     if (next != nullptr) {
       rq_.Dequeue(next);
+      kernel_->UpdateCandidateMasks(*this);
       Dispatch(next, now);
     } else {
       idle_since_ = now;
@@ -195,6 +199,7 @@ void GuestVcpu::Reschedule(TimeNs now) {
   if (next != nullptr && kernel_->ShouldPreempt(current_, next)) {
     PutCurrent(now, /*requeue=*/true);
     rq_.Dequeue(next);
+    kernel_->UpdateCandidateMasks(*this);
     Dispatch(next, now);
     return;
   }

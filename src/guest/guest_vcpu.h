@@ -37,7 +37,8 @@ class GuestVcpu : public VcpuHostClient {
 
   int index() const { return index_; }
   VcpuThread* thread() const { return thread_; }
-  Runqueue& rq() { return rq_; }
+  // Read-only: the kernel's candidate masks track every runqueue change, so
+  // only GuestKernel and GuestVcpu mutate the queue.
   const Runqueue& rq() const { return rq_; }
   Task* current() const { return current_; }
 

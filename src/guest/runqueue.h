@@ -51,8 +51,7 @@ class Runqueue {
   size_t idle_count() const { return idle_.size(); }
   bool empty() const { return normal_.empty() && idle_.empty(); }
 
-  // True when the queue holds only best-effort (SCHED_IDLE) tasks — the
-  // "sched_idle vCPU" notion bvs keys on (Figure 8).
+  // True when the queue holds only best-effort (SCHED_IDLE) tasks.
   bool OnlyIdleTasks() const { return normal_.empty() && !idle_.empty(); }
 
   // Sum of queued normal-task weights (for load balancing). Maintained as a

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/base/audit.h"
 #include "src/base/check.h"
 #include "src/fault/fault_injector.h"
 #include "src/guest/guest_kernel.h"
@@ -160,6 +161,7 @@ void Vact::OnWindowEnd() {
     window_drops_[i] = 0;
     window_ticks_[i] = 0;
   }
+  median_latency_valid_ = false;
   ++windows_completed_;
   window_start_ = now;
   window_event_ = sim_->After(
@@ -182,6 +184,17 @@ double Vact::ActivePeriodOf(int cpu) const {
 }
 
 double Vact::MedianLatency() const {
+  if (!median_latency_valid_) {
+    median_latency_ = ComputeMedianLatency();
+    median_latency_valid_ = true;
+  } else {
+    VSCHED_AUDIT_CHECK(median_latency_ == ComputeMedianLatency(),
+                       "vact median latency memo is stale");
+  }
+  return median_latency_;
+}
+
+double Vact::ComputeMedianLatency() const {
   std::vector<double> v;
   for (const Ema& e : latency_ema_) {
     if (e.has_value()) {

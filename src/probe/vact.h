@@ -61,6 +61,8 @@ class Vact {
 
   // Average vCPU inactive period — the "vCPU latency" abstraction (ns).
   double LatencyOf(int cpu) const;
+  // Median of the latency estimates. Memoized: the estimates change only in
+  // OnWindowEnd, which drops the memo.
   double MedianLatency() const;
 
   // Average vCPU active period between preemptions (ns).
@@ -85,8 +87,12 @@ class Vact {
   int subthreshold_windows() const { return subthreshold_windows_; }
 
  private:
+  // Deliberate-corruption backdoor for the audit tests (tests/audit/).
+  friend struct AuditTestAccess;
+
   void OnTick(GuestVcpu* v, TimeNs now);
   void OnWindowEnd();
+  double ComputeMedianLatency() const;
 
   GuestKernel* kernel_;
   Simulation* sim_;
@@ -104,6 +110,8 @@ class Vact {
   std::vector<TimeNs> window_start_steal_;
   TimeNs window_start_ = 0;
   std::vector<Ema> latency_ema_;
+  mutable double median_latency_ = 0;
+  mutable bool median_latency_valid_ = false;
   std::vector<Ema> active_period_ema_;
   std::vector<ConfidenceTracker> confidence_;
   std::vector<int> window_drops_;  // tick samples dropped this window

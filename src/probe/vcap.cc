@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/base/audit.h"
 #include "src/base/check.h"
 #include "src/fault/fault_injector.h"
 #include "src/guest/guest_kernel.h"
@@ -9,7 +10,9 @@
 
 namespace vsched {
 
-// Keeps the vCPU busy during an armed window, counting completed work.
+// Keeps the vCPU busy during an armed window, counting completed work. The
+// kernel owns it and it holds no pointer back to its Vcap, so a prober task
+// that is mid-chunk when its Vcap is destroyed finishes the chunk and waits.
 class Vcap::ProberBehavior : public TaskBehavior {
  public:
   explicit ProberBehavior(TimeNs chunk_ns)
@@ -66,16 +69,20 @@ void Vcap::Start() {
   running_ = true;
   if (light_probers_.empty()) {
     for (int i = 0; i < kernel_->num_vcpus(); ++i) {
-      light_behaviors_.push_back(std::make_unique<ProberBehavior>(config_.chunk_ns));
+      auto light_behavior = std::make_unique<ProberBehavior>(config_.chunk_ns);
+      light_behaviors_.push_back(light_behavior.get());
+      kernel_->AdoptBehavior(std::move(light_behavior));
       Task* light = kernel_->CreateTask("vcap-light-" + std::to_string(i), TaskPolicy::kIdle,
-                                        light_behaviors_.back().get(), CpuMask::Single(i));
+                                        light_behaviors_.back(), CpuMask::Single(i));
       light->set_exempt_straggler_ban(true);
       kernel_->StartTask(light);
       light_probers_.push_back(light);
 
-      heavy_behaviors_.push_back(std::make_unique<ProberBehavior>(config_.chunk_ns));
+      auto heavy_behavior = std::make_unique<ProberBehavior>(config_.chunk_ns);
+      heavy_behaviors_.push_back(heavy_behavior.get());
+      kernel_->AdoptBehavior(std::move(heavy_behavior));
       Task* heavy = kernel_->CreateTask("vcap-heavy-" + std::to_string(i), TaskPolicy::kNormal,
-                                        heavy_behaviors_.back().get(), CpuMask::Single(i));
+                                        heavy_behaviors_.back(), CpuMask::Single(i));
       heavy->set_exempt_straggler_ban(true);
       kernel_->StartTask(heavy);
       heavy_probers_.push_back(heavy);
@@ -96,10 +103,10 @@ void Vcap::Stop() {
   }
   running_ = false;
   sim_->Cancel(next_event_);
-  for (auto& b : light_behaviors_) {
+  for (ProberBehavior* b : light_behaviors_) {
     b->Disarm();
   }
-  for (auto& b : heavy_behaviors_) {
+  for (ProberBehavior* b : heavy_behaviors_) {
     b->Disarm();
   }
   window_active_ = false;
@@ -231,6 +238,7 @@ void Vcap::EndWindow() {
     last_samples_[i] = sample;
     capacity_ema_[i].Add(sample.vcpu_capacity);
   }
+  median_capacity_valid_ = false;
   if (config_.robust.enabled) {
     prev_window_end_ = now;
     for (int i = 0; i < kernel_->num_vcpus(); ++i) {
@@ -297,6 +305,17 @@ double Vcap::MedianConfidence() const {
 }
 
 double Vcap::MedianCapacity() const {
+  if (!median_capacity_valid_) {
+    median_capacity_ = ComputeMedianCapacity();
+    median_capacity_valid_ = true;
+  } else {
+    VSCHED_AUDIT_CHECK(median_capacity_ == ComputeMedianCapacity(),
+                       "vcap median capacity memo is stale");
+  }
+  return median_capacity_;
+}
+
+double Vcap::ComputeMedianCapacity() const {
   std::vector<double> caps;
   for (int i = 0; i < static_cast<int>(capacity_ema_.size()); ++i) {
     if (!skip_mask_.Test(i) && capacity_ema_[i].has_value()) {

@@ -70,6 +70,8 @@ class Vcap {
   // Smoothed capacity estimate for a vCPU (kCapacityScale units).
   double CapacityOf(int cpu) const;
   double RawCapacityOf(int cpu) const;  // last un-smoothed sample
+  // Median of the probed vCPUs' estimates. Memoized: the estimates and the
+  // skip mask change only in EndWindow and SetSkipMask, which drop the memo.
   double MedianCapacity() const;
   bool has_results() const { return windows_completed_ > 0; }
   int windows_completed() const { return windows_completed_; }
@@ -82,7 +84,10 @@ class Vcap {
   double MedianConfidence() const;
 
   // Skips probing on these vCPUs (rwc bans stack-banned vCPUs from vcap).
-  void SetSkipMask(CpuMask mask) { skip_mask_ = mask; }
+  void SetSkipMask(CpuMask mask) {
+    skip_mask_ = mask;
+    median_capacity_valid_ = false;
+  }
 
   // ---- Anti-evasion hardening (robust.enabled only) ----
   // The steal fraction observed *between* the two most recent windows — the
@@ -103,10 +108,13 @@ class Vcap {
   void AddWindowCallback(WindowCallback cb) { window_callbacks_.push_back(std::move(cb)); }
 
  private:
+  // Deliberate-corruption backdoor for the audit tests (tests/audit/).
+  friend struct AuditTestAccess;
   class ProberBehavior;
 
   void BeginWindow();
   void EndWindow();
+  double ComputeMedianCapacity() const;
 
   GuestKernel* kernel_;
   Simulation* sim_;
@@ -121,8 +129,11 @@ class Vcap {
   EventId next_event_;
 
   CpuMask skip_mask_;
-  std::vector<std::unique_ptr<ProberBehavior>> light_behaviors_;
-  std::vector<std::unique_ptr<ProberBehavior>> heavy_behaviors_;
+  // The prober behaviors belong to the kernel (GuestKernel::AdoptBehavior):
+  // prober tasks outlive this Vcap when the VM keeps running after it. The
+  // kernel must outlive this Vcap, whose destructor disarms them.
+  std::vector<ProberBehavior*> light_behaviors_;
+  std::vector<ProberBehavior*> heavy_behaviors_;
   std::vector<Task*> light_probers_;
   std::vector<Task*> heavy_probers_;
 
@@ -145,6 +156,8 @@ class Vcap {
   int quarantine_events_ = 0;
 
   std::vector<Ema> capacity_ema_;
+  mutable double median_capacity_ = 0;
+  mutable bool median_capacity_valid_ = false;
   std::vector<ConfidenceTracker> confidence_;
   std::vector<double> core_capacity_;  // last heavy-phase core capacity
   std::vector<VcapSample> last_samples_;

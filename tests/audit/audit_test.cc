@@ -18,11 +18,14 @@
 #include "src/cluster/fleet_spec.h"
 #include "src/cluster/sharded_fleet.h"
 #include "src/core/config.h"
+#include "src/guest/guest_kernel.h"
 #include "src/guest/runqueue.h"
 #include "src/guest/task.h"
 #include "src/guest/vm.h"
 #include "src/host/machine.h"
 #include "src/probe/pair_probe.h"
+#include "src/probe/vact.h"
+#include "src/probe/vcap.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/simulation.h"
 #include "src/sim/timer_wheel.h"
@@ -149,6 +152,23 @@ struct AuditTestAccess {
   // Flips the probe's cached run flag for prober A: the stale state a
   // run-change site that stopped notifying would leave behind.
   static void FlipCachedRun(PairProbe& p) { p.a_running_ = !p.a_running_; }
+
+  // ---- GuestKernel backdoor ----
+
+  // Flips one vCPU's bit in the idle candidate mask: the stale state an
+  // update site that stopped re-deriving the masks would leave behind.
+  static void FlipIdleBit(GuestKernel& k, int cpu) { k.idle_.Assign(cpu, !k.idle_.Test(cpu)); }
+
+  // ---- Vcap / Vact backdoors ----
+
+  // Feed one estimate a sample without dropping the median memo: the stale
+  // median a writer outside EndWindow / OnWindowEnd would leave behind.
+  static void AddCapacityBehindMemo(Vcap& v, int cpu, double sample) {
+    v.capacity_ema_[static_cast<size_t>(cpu)].Add(sample);
+  }
+  static void AddLatencyBehindMemo(Vact& v, int cpu, double sample) {
+    v.latency_ema_[static_cast<size_t>(cpu)].Add(sample);
+  }
 
   // ---- ShardedFleet backdoor ----
 
@@ -442,6 +462,69 @@ TEST_F(AuditTest, StalePairProbeRunStateIsCaught) {
   sim.RunFor(UsToNs(10));  // the next timer-driven sample must notice
   EXPECT_GT(audit::ViolationCount(), 0u);
   EXPECT_TRUE(AnyViolationContains("cached prober run state"));
+}
+
+TEST_F(AuditTest, StaleCandidateMaskIsCaught) {
+  Simulation sim(11);
+  TopologySpec topo;
+  topo.sockets = 1;
+  topo.cores_per_socket = 4;
+  HostMachine machine(&sim, topo);
+  Vm vm(&sim, &machine, MakeSimpleVmSpec("vm", 4));
+  GuestKernel& kernel = vm.kernel();
+  PeriodicBehavior periodic(WorkAtCapacity(kCapacityScale, UsToNs(200)), UsToNs(300));
+  kernel.StartTask(kernel.CreateTask("p", TaskPolicy::kNormal, &periodic, CpuMask::Single(0)));
+  sim.RunFor(MsToNs(5));
+  kernel.AuditVerify();
+  ASSERT_EQ(audit::ViolationCount(), 0u);
+
+  AuditTestAccess::FlipIdleBit(kernel, 3);  // vCPU 3 never runs anything
+  kernel.AuditVerify();
+  const uint64_t direct = audit::ViolationCount();
+  EXPECT_GT(direct, 0u);
+  EXPECT_TRUE(AnyViolationContains("idle mask disagrees with the vCPUs"));
+  // Every mask update re-verifies all four masks: the periodic task's next
+  // switch on vCPU 0 notices the bit of vCPU 3.
+  sim.RunFor(MsToNs(1));
+  EXPECT_GT(audit::ViolationCount(), direct);
+}
+
+TEST_F(AuditTest, StaleMedianCapacityIsCaught) {
+  Simulation sim(12);
+  HostMachine machine(&sim, TopologySpec{});
+  Vm vm(&sim, &machine, MakeSimpleVmSpec("vm", 1));
+  Vcap vcap(&vm.kernel());
+  vcap.Start();
+  sim.RunFor(MsToNs(150));  // one window: the estimate exists
+  ASSERT_TRUE(vcap.has_results());
+  const double median = vcap.MedianCapacity();
+  EXPECT_EQ(vcap.MedianCapacity(), median);
+  ASSERT_EQ(audit::ViolationCount(), 0u);
+
+  // With one vCPU the median is its estimate, so any new sample moves it.
+  AuditTestAccess::AddCapacityBehindMemo(vcap, 0, 0.0);
+  vcap.MedianCapacity();
+  EXPECT_GT(audit::ViolationCount(), 0u);
+  EXPECT_TRUE(AnyViolationContains("vcap median capacity memo is stale"));
+}
+
+TEST_F(AuditTest, StaleMedianLatencyIsCaught) {
+  Simulation sim(13);
+  HostMachine machine(&sim, TopologySpec{});
+  Vm vm(&sim, &machine, MakeSimpleVmSpec("vm", 1));
+  Vact vact(&vm.kernel());
+  vact.Start();
+  sim.RunFor(MsToNs(1100));  // one window: the estimate exists
+  ASSERT_TRUE(vact.has_results());
+  const double median = vact.MedianLatency();
+  EXPECT_EQ(vact.MedianLatency(), median);
+  ASSERT_EQ(audit::ViolationCount(), 0u);
+
+  AuditTestAccess::AddLatencyBehindMemo(vact, 0, 1e6);
+  vact.MedianLatency();
+  EXPECT_GT(audit::ViolationCount(), 0u);
+  EXPECT_TRUE(AnyViolationContains("vact median latency memo is stale"));
+  vact.Stop();
 }
 
 FleetSpec TinyFleet() {

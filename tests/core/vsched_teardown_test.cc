@@ -1,8 +1,10 @@
-// Lifetime: a VSched destroyed while a vtop probe is in flight must leave
-// nothing behind in its guest kernel. The in-flight PairProbes are
+// Lifetime: a full VSched (vcap, vact, vtop, BVS, IVH, RWC) destroyed while
+// a vtop probe and a vcap window are in flight must leave nothing behind in
+// its guest kernel that points back into it. The in-flight PairProbes are
 // run-change watchers held by raw pointer (vsched-lint's event-lifetime rule
-// cannot see them), and their spin tasks outlive them in the kernel. The VM
-// keeps running and switching tasks afterwards, so under ASan (the
+// cannot see them), the prober tasks of vtop and vcap outlive their probers
+// in the kernel, and BVS's select hook runs on every wakeup. The VM keeps
+// running, waking and switching tasks afterwards, so under ASan (the
 // asan-ubsan ctest job) anything left behind is a use-after-free.
 #include <memory>
 #include <vector>
@@ -29,22 +31,24 @@ TEST(VSchedTeardownTest, DestroyedMidProbeWhileTheVmKeepsRunning) {
   spec.vcpus[2].tid = 2;
   spec.vcpus[3].tid = 2;  // stacked with vCPU 2: its probe runs to the last timeout
   Vm vm(&sim, &machine, spec);
-  // Duty-cycled tasks keep every vCPU switching between them and the probers.
+  // Duty-cycled tasks keep every vCPU switching between them and the
+  // probers; the small ones go through the wake-placement hook.
   std::vector<std::unique_ptr<PeriodicBehavior>> churn;
   for (int cpu = 0; cpu < vm.num_vcpus(); ++cpu) {
     churn.push_back(std::make_unique<PeriodicBehavior>(
         WorkAtCapacity(kCapacityScale, UsToNs(300)), UsToNs(200)));
     vm.kernel().StartTask(vm.kernel().CreateTask("churn", TaskPolicy::kNormal, churn.back().get(),
                                                  CpuMask::Single(cpu)));
+    churn.push_back(std::make_unique<PeriodicBehavior>(
+        WorkAtCapacity(kCapacityScale, UsToNs(20)), MsToNs(2)));
+    vm.kernel().StartTask(
+        vm.kernel().CreateTask("small", TaskPolicy::kNormal, churn.back().get()));
   }
-  // vtop alone: the policies' kernel hooks are not built to outlive VSched.
-  VSchedOptions options = VSchedOptions::Cfs();
-  options.use_vtop = true;
-  auto vsched = std::make_unique<VSched>(&vm.kernel(), options);
+  auto vsched = std::make_unique<VSched>(&vm.kernel(), VSchedOptions::Full());
   vsched->Start();
   sim.RunFor(MsToNs(5));
   ASSERT_TRUE(vsched->vtop()->busy());
-  vsched.reset();
+  vsched.reset();  // mid vtop probe and mid vcap window
 
   const uint64_t switches = vm.kernel().counters().context_switches.value();
   sim.RunFor(MsToNs(300));

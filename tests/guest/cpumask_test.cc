@@ -68,5 +68,51 @@ TEST(CpuMaskTest, IterationEmpty) {
   }
 }
 
+TEST(CpuMaskTest, Assign) {
+  CpuMask m = CpuMask::Single(5);
+  m.Assign(5, false);
+  m.Assign(63, true);
+  m.Assign(0, true);
+  m.Assign(0, true);
+  EXPECT_EQ(m, CpuMask::Single(0) | CpuMask::Single(63));
+}
+
+// The guest's placement scans visit vCPUs as (start + k) % n for k < n; a
+// rotated iteration over a candidate mask must visit the mask's members in
+// exactly that order, for every VM size and every start.
+TEST(CpuMaskTest, RotatedFromMatchesTheModuloScan) {
+  uint64_t state = 0x9E3779B97F4A7C15ULL;
+  auto next_bits = [&state] {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    return state;
+  };
+  for (int n = 1; n <= 64; ++n) {
+    std::vector<CpuMask> masks = {CpuMask::None(), CpuMask::FirstN(n),
+                                  CpuMask::Single(0), CpuMask::Single(n - 1)};
+    for (int i = 0; i < 8; ++i) {
+      masks.push_back(CpuMask(next_bits()) & CpuMask::FirstN(n));
+      masks.push_back(CpuMask(next_bits() & next_bits()) & CpuMask::FirstN(n));
+    }
+    for (CpuMask mask : masks) {
+      for (int start = 0; start < n; ++start) {
+        std::vector<int> expected;
+        for (int k = 0; k < n; ++k) {
+          int cpu = (start + k) % n;
+          if (mask.Test(cpu)) {
+            expected.push_back(cpu);
+          }
+        }
+        std::vector<int> seen;
+        for (int cpu : mask.RotatedFrom(start)) {
+          seen.push_back(cpu);
+        }
+        ASSERT_EQ(seen, expected) << "n=" << n << " start=" << start << " mask=" << mask.bits();
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace vsched

@@ -1,8 +1,10 @@
 // Property tests on guest-kernel invariants under randomized workload soups:
 // work conservation, runqueue membership consistency, vruntime monotonicity,
-// ban enforcement, and fair sharing across task/vCPU ratios.
+// ban enforcement, candidate-mask consistency under audit, and fair sharing
+// across task/vCPU ratios.
 #include <gtest/gtest.h>
 
+#include "src/base/audit.h"
 #include "src/guest/vm.h"
 #include "src/host/machine.h"
 #include "src/host/stressor.h"
@@ -157,6 +159,94 @@ TEST_P(BanEnforcement, BannedVcpusNeverRunIneligibleTasks) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BanEnforcement, ::testing::Values(7, 17, 27));
+
+// ---------------------------------------------------------------------------
+// Candidate masks under audited churn: with auditing on, the kernel
+// re-derives its four candidate masks from the vCPUs after every update, so
+// any runqueue or current-task change that bypassed an update is reported.
+// ---------------------------------------------------------------------------
+
+// audit::ViolationCount() tallies every report; this handler only keeps
+// the test running instead of aborting at the first one.
+void ContinueAfterViolation(const char*, int, const char*, const char*) {}
+
+class AuditedChurn : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(AuditedChurn, CandidateMasksTrackEveryChange) {
+  audit::ScopedEnable audit_on;
+  audit::ScopedHandler keep_going(&ContinueAfterViolation);
+  const uint64_t violations_before = audit::ViolationCount();
+
+  Simulation sim(GetParam());
+  HostMachine machine(&sim, FlatSpec(6));
+  Vm vm(&sim, &machine, MakeSimpleVmSpec("vm", 6));
+  GuestKernel& kernel = vm.kernel();
+  Rng rng = sim.ForkRng();
+  std::vector<std::unique_ptr<Stressor>> stressors;
+  for (int c = 0; c < 2; ++c) {
+    stressors.push_back(std::make_unique<Stressor>(&sim, "s"));
+    stressors.back()->Start(&machine, c);
+  }
+
+  // Normal and SCHED_IDLE tasks; a third of them re-pin themselves to a
+  // random vCPU set at every burst end (sched_setaffinity from the task).
+  std::vector<std::unique_ptr<TaskBehavior>> behaviors;
+  std::vector<Task*> tasks;
+  for (int i = 0; i < 14; ++i) {
+    Work work =
+        WorkAtCapacity(kCapacityScale, static_cast<TimeNs>(rng.Uniform(0.1, 1.5) * kNsPerMs));
+    if (i % 3 == 0) {
+      behaviors.push_back(std::make_unique<LambdaBehavior>(
+          [work, &rng](TaskContext& ctx, RunReason reason) {
+            if (reason == RunReason::kBurstComplete) {
+              ctx.task->set_allowed(CpuMask(static_cast<uint64_t>(rng.UniformInt(1, 63))));
+            }
+            return rng.Bernoulli(0.3) ? TaskAction::Sleep(UsToNs(400)) : TaskAction::Run(work);
+          }));
+    } else if (i % 3 == 1) {
+      behaviors.push_back(std::make_unique<PeriodicBehavior>(
+          work, static_cast<TimeNs>(rng.Uniform(0.2, 2) * kNsPerMs)));
+    } else {
+      behaviors.push_back(std::make_unique<HogBehavior>(work));
+    }
+    TaskPolicy policy = i % 4 == 3 ? TaskPolicy::kIdle : TaskPolicy::kNormal;
+    tasks.push_back(kernel.CreateTask("t" + std::to_string(i), policy, behaviors.back().get()));
+    kernel.StartTask(tasks.back());
+  }
+
+  for (int step = 0; step < 40; ++step) {
+    sim.RunFor(MsToNs(10));
+    switch (step % 4) {
+      case 0:  // Straggler and stack bans: evacuation migrates queued and running tasks.
+        kernel.SetBans(CpuMask(static_cast<uint64_t>(rng.UniformInt(0, 63))) & CpuMask::FirstN(6),
+                       CpuMask::Single(static_cast<int>(rng.UniformInt(0, 5))));
+        break;
+      case 1:  // Lift the bans.
+        kernel.SetBans(CpuMask::None(), CpuMask::None());
+        break;
+      case 2:  // Asymmetric capacities switch on the misfit and capacity-greedy paths.
+        for (int c = 0; c < kernel.num_vcpus(); ++c) {
+          kernel.SetCapacityOverride(c, rng.Uniform(200, 1024));
+        }
+        break;
+      default:  // Explicit queued-task migrations.
+        for (Task* t : tasks) {
+          if (t->state() == TaskState::kRunnable) {
+            kernel.MigrateQueuedTask(t, static_cast<int>(rng.UniformInt(0, 5)));
+          }
+        }
+        kernel.ClearCapacityOverrides();
+        break;
+    }
+    kernel.AuditVerify();
+  }
+
+  EXPECT_GT(kernel.counters().migrations.value(), 0u);
+  EXPECT_GT(kernel.counters().active_migrations.value(), 0u);
+  EXPECT_EQ(audit::ViolationCount(), violations_before);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, AuditedChurn, ::testing::Values(11, 22, 33, 44));
 
 // ---------------------------------------------------------------------------
 // Fair sharing across task/vCPU ratios: N hogs on M vCPUs each get ~M/N.
