@@ -2,7 +2,7 @@
 //
 //   vsched_run [--experiment NAME] [--fleet PRESET] [--jobs N] [--seed S]
 //              [--out FILE] [--filter SUBSTR] [--warmup-ms N] [--measure-ms N]
-//              [--tickless] [--timings] [--audit] [--list]
+//              [--timings] [--audit] [--list]
 //              [--fault-plan NAME] [--event-budget N] [--resume FILE] [--shards N]
 //
 // Experiments: fig18_rcvm (default), fig19_hpvm, fig02, all. --fleet PRESET
@@ -58,7 +58,6 @@ struct CliOptions {
   std::string filter;
   long warmup_ms = -1;   // -1: sweep default
   long measure_ms = -1;  // -1: sweep default
-  bool tickless = false;
   bool timings = false;
   bool audit = false;
   bool list = false;
@@ -87,8 +86,6 @@ void Usage(std::FILE* out) {
                "  --filter SUBSTR    keep only runs whose id contains SUBSTR\n"
                "  --warmup-ms N      override per-run warmup (simulated ms)\n"
                "  --measure-ms N     override per-run measurement window (simulated ms)\n"
-               "  --tickless         elide no-op periodic timers (NOHZ-style); rows are\n"
-               "                     byte-identical with or without this flag, just faster\n"
                "  --timings          include per-row wall_ms (non-deterministic) in JSONL\n"
                "  --audit            verify core invariants after every mutation (slow);\n"
                "                     output stays byte-identical, violations abort\n"
@@ -150,8 +147,6 @@ bool ParseArgs(int argc, char** argv, CliOptions& cli) {
     if (arg == "--help" || arg == "-h") {
       Usage(stdout);
       std::exit(0);
-    } else if (arg == "--tickless") {
-      cli.tickless = true;
     } else if (arg == "--timings") {
       cli.timings = true;
     } else if (arg == "--audit") {
@@ -241,7 +236,6 @@ ExperimentSpec BuildSweep(const CliOptions& cli) {
       if (cli.measure_ms >= 0) {
         run.measure = MsToNs(cli.measure_ms);
       }
-      run.tickless = cli.tickless;
       // Adversary rows own their fault plan (it IS the attack under test);
       // --fault-plan only applies to the other sweeps.
       if (run.family != ExperimentFamily::kAdversary) {
@@ -446,12 +440,10 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(picks),
                  static_cast<unsigned long long>(cb_heap_allocs),
                  static_cast<unsigned long long>(slab_allocs));
-    std::fprintf(human,
-                 "timers: %llu fires, %llu cascades, %llu ticks elided%s\n",
+    std::fprintf(human, "timers: %llu fires, %llu cascades, %llu ticks elided\n",
                  static_cast<unsigned long long>(timer_fires),
                  static_cast<unsigned long long>(timer_cascades),
-                 static_cast<unsigned long long>(ticks_elided),
-                 cli.tickless ? " (--tickless)" : "");
+                 static_cast<unsigned long long>(ticks_elided));
     if (barriers > 0) {
       std::fprintf(human, "fleet: %llu barriers (all cells stopped for the coordinator)\n",
                    static_cast<unsigned long long>(barriers));

@@ -155,7 +155,6 @@ ShardedFleet::ShardedFleet(FleetSpec spec, uint64_t seed, VSchedOptions guest_op
                            const FaultPlan* fault_plan, bool tickless)
     : spec_(std::move(spec)),
       guest_options_(guest_options),
-      tickless_(tickless),
       shards_(shards),
       control_rng_(0) {
   VSCHED_CHECK(spec_.hosts > 0 && spec_.vms > 0 && spec_.vcpus_per_vm > 0);
@@ -181,10 +180,10 @@ ShardedFleet::ShardedFleet(FleetSpec spec, uint64_t seed, VSchedOptions guest_op
   HostSchedParams host_params;
   host_params.min_granularity = spec_.host_min_granularity;
   host_params.wakeup_granularity = spec_.host_wakeup_granularity;
-  host_params.tickless = tickless_;
+  host_params.tickless = tickless;
   host_params_ = std::make_shared<const HostSchedParams>(host_params);
   GuestParams guest_params;
-  guest_params.tickless = tickless_;
+  guest_params.tickless = tickless;
   guest_params_ = std::make_shared<const GuestParams>(guest_params);
 
   guest_options_.vcap.sampling_period = spec_.probe_window;

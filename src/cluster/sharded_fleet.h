@@ -212,8 +212,11 @@ class ShardedFleet {
   // stack (Cfs vs Full — the head-to-head axis). `fault_plan` (may be null)
   // arms machine-level chaos on every fourth host, or one adversarial
   // co-tenant on every host for an adversary plan, with no VM bound.
+  // `tickless` sets GuestParams::tickless and HostSchedParams::tickless for
+  // every host and guest; `false` is only the ticking reference of the
+  // TicklessTwin tests (tests/runner/tickless_twin_test.cc).
   ShardedFleet(FleetSpec spec, uint64_t seed, VSchedOptions guest_options, int shards,
-               const FaultPlan* fault_plan = nullptr, bool tickless = false);
+               const FaultPlan* fault_plan = nullptr, bool tickless = true);
   ~ShardedFleet();
 
   ShardedFleet(const ShardedFleet&) = delete;
@@ -297,7 +300,6 @@ class ShardedFleet {
 
   FleetSpec spec_;
   VSchedOptions guest_options_;
-  bool tickless_;
   int shards_;
   TimeNs window_ = 0;
   Rng control_rng_;

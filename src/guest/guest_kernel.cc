@@ -68,8 +68,6 @@ GuestKernel::~GuestKernel() {
   }
 }
 
-TimeNs GuestKernel::SchedClock() const { return sim_->now(); }
-
 void GuestKernel::AddRunWatcher(RunChangeWatcher* watcher) { run_watchers_.push_back(watcher); }
 
 void GuestKernel::RemoveRunWatcher(RunChangeWatcher* watcher) {
@@ -610,8 +608,9 @@ void GuestKernel::OnTick(int cpu) {
   const TimerId timer = tick_timers_[static_cast<size_t>(cpu)];
   if (!v->active()) {
     // Tick interrupts are not delivered to a descheduled vCPU — this firing
-    // mutates nothing. In tickless mode stop the tick entirely (NOHZ);
-    // ResumeTick re-arms it on the same grid when the vCPU runs again.
+    // mutates nothing. Stop the tick entirely (NOHZ); ResumeTick re-arms it
+    // on the same grid when the vCPU runs again. The ticking reference
+    // (GuestParams::tickless = false) keeps firing instead.
     if (params_->tickless) {
       v->tick_stopped_ = true;
       v->tick_stop_time_ = sim_->now();

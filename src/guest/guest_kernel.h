@@ -50,9 +50,11 @@ struct GuestParams {
   // NOHZ-style tick elision: an inactive (descheduled) vCPU stops its
   // periodic tick and re-arms on the grid when it is next scheduled in.
   // Elided firings are provable no-ops, so observable state — vruntime,
-  // PELT, bvs/ivh classifications, stats, JSONL — is byte-identical either
-  // way (enforced by the vsched_run_tickless ctest).
-  bool tickless = false;
+  // PELT, bvs/ivh classifications, stats, JSONL — is byte-identical to a
+  // vCPU that ticks through. `false` is only the ticking reference of the
+  // TicklessTwin tests (tests/runner/tickless_twin_test.cc); no other code
+  // sets it to false.
+  bool tickless = true;
   // Guest CFS granularities (guest-side, distinct from the host's).
   TimeNs min_granularity = UsToNs(1500);
   TimeNs wakeup_granularity = UsToNs(1000);
@@ -138,9 +140,6 @@ class GuestKernel {
   void WakeTask(Task* task, int waker_cpu = -1);
 
   // ---- Scheduler state (prober/vSched-facing) ----
-
-  // Current simulated kernel clock (sched_clock analogue).
-  TimeNs SchedClock() const;
 
   // The CFS capacity estimate used by all capacity-aware paths. Overridden
   // per-vCPU via SetCapacityOverride (the vSched kernel module).

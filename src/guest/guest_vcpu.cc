@@ -26,8 +26,6 @@ GuestVcpu::~GuestVcpu() {
   thread_->BindClient(nullptr);
 }
 
-double GuestVcpu::CfsCapacity() const { return kernel_->CfsCapacityOf(index_); }
-
 void GuestVcpu::OnVcpuScheduledIn(TimeNs now) {
   kernel_->NotifyRunChange(index_);
   kernel_->ResumeTick(index_);  // NOHZ: restart a stopped tick on its grid.

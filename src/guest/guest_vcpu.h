@@ -70,10 +70,6 @@ class GuestVcpu : public VcpuHostClient {
   // Total time this vCPU was executing guest tasks.
   TimeNs busy_ns() const { return busy_ns_; }
 
-  // CFS's own capacity estimate for this vCPU (possibly overridden by vcap
-  // through the vSched bridge). Implemented in GuestKernel.
-  double CfsCapacity() const;
-
   // VcpuHostClient:
   void OnVcpuScheduledIn(TimeNs now) override;
   void OnVcpuScheduledOut(TimeNs now) override;
@@ -138,9 +134,9 @@ class GuestVcpu : public VcpuHostClient {
   TimeNs next_balance_ = 0;
   TimeNs next_active_balance_ = 0;
 
-  // NOHZ state (tickless mode only): set when the periodic tick fired on an
-  // inactive vCPU and went dormant; GuestKernel::ResumeTick re-arms on the
-  // tick grid when the vCPU is scheduled back in.
+  // NOHZ state: set when the periodic tick fired on an inactive vCPU and
+  // went dormant; GuestKernel::ResumeTick re-arms on the tick grid when the
+  // vCPU is scheduled back in.
   bool tick_stopped_ = false;
   TimeNs tick_stop_time_ = 0;
 

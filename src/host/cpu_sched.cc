@@ -77,8 +77,6 @@ void CpuSched::RefreshMinVruntime() {
   }
 }
 
-double CpuSched::QueueMinVruntime() const { return min_vruntime_; }
-
 void CpuSched::Attach(HostEntity* e) {
   VSCHED_CHECK_MSG(e->sched_ == nullptr, "entity already attached");
   TimeNs now = sim_->now();
@@ -300,8 +298,8 @@ void CpuSched::PickNext(TimeNs now) {
   ArmSliceTimer(now);
   if (next->has_bandwidth()) {
     if (!next->bw_refill_armed_) {
-      // Tickless: the refill went dormant while this entity was off-CPU (every
-      // skipped firing was a no-op: quota full, not throttled). Re-arm on the
+      // The refill went dormant while this entity was off-CPU (every skipped
+      // firing was a no-op: quota full, not throttled). Re-arm on the
       // original grid before any quota can be consumed — an unarmed refill
       // with a running entity would throttle forever.
       TimeNs when = sim_->NextGridPoint(next->bw_refill_origin_, next->bw_period_,

@@ -30,11 +30,13 @@ struct HostSchedParams {
   // A waking entity preempts the current one only if the current has already
   // run at least this long (sched_wakeup_granularity_ns analogue).
   TimeNs wakeup_granularity = MsToNs(1);
-  // Tickless host: a bandwidth-refill timer whose firing would be a no-op
+  // Dormant refills: a bandwidth-refill timer whose firing would be a no-op
   // (entity off-CPU, unthrottled, quota already full) goes dormant instead of
   // re-arming; PickNext re-arms it on the refill grid before the entity runs
-  // again. Observable state is identical either way (vsched_run_tickless).
-  bool tickless = false;
+  // again, so observable state matches a refill that never stopped. `false`
+  // is only the ticking reference of the TicklessTwin tests
+  // (tests/runner/tickless_twin_test.cc); no other code sets it to false.
+  bool tickless = true;
 };
 
 class CpuSched {
@@ -99,7 +101,6 @@ class CpuSched {
   void ArmSliceTimer(TimeNs now);
   void ThrottleCurrent(TimeNs now);
   void RefillBandwidth(HostEntity* e);
-  double QueueMinVruntime() const;
 
   Simulation* sim_;
   HostMachine* machine_;

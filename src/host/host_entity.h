@@ -94,8 +94,8 @@ class HostEntity {
   bool paused_ = false;
 
   // Bandwidth control. The refill is a periodic wheel timer (timer band);
-  // bw_refill_origin_ pins its grid so a dormant refill (tickless hosts park
-  // the timer while the entity is off-CPU, unthrottled, and fully refilled)
+  // bw_refill_origin_ pins its grid so a dormant refill (the host parks the
+  // timer while the entity is off-CPU, unthrottled, and fully refilled)
   // resumes on exactly the phase it would have kept. bw_refill_armed_ is the
   // dormancy flag; CpuSched::PickNext re-arms before the entity runs again.
   TimeNs bw_quota_ = 0;

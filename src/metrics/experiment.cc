@@ -26,7 +26,9 @@ namespace {
 void ApplyThreadShape(Simulation* sim, HostMachine* machine,
                       std::vector<std::unique_ptr<Stressor>>& stressors, HwThreadId tid,
                       VcpuClassShape shape) {
-  HostSchedParams params;
+  // Only the granularities are the class's; every other knob stays the
+  // machine's.
+  HostSchedParams params = machine->sched(tid).params();
   params.min_granularity = shape.granularity;
   params.wakeup_granularity = shape.granularity;
   machine->sched(tid).set_params(params);

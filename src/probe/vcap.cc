@@ -277,8 +277,6 @@ double Vcap::CapacityOf(int cpu) const {
   return capacity_ema_[cpu].value();
 }
 
-double Vcap::RawCapacityOf(int cpu) const { return last_samples_[cpu].vcpu_capacity; }
-
 double Vcap::ConfidenceOf(int cpu) const {
   VSCHED_CHECK(cpu >= 0 && cpu < static_cast<int>(confidence_.size()));
   if (!config_.robust.enabled) {

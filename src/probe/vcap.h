@@ -69,7 +69,6 @@ class Vcap {
 
   // Smoothed capacity estimate for a vCPU (kCapacityScale units).
   double CapacityOf(int cpu) const;
-  double RawCapacityOf(int cpu) const;  // last un-smoothed sample
   // Median of the probed vCPUs' estimates. Memoized: the estimates and the
   // skip mask change only in EndWindow and SetSkipMask, which drop the memo.
   double MedianCapacity() const;
@@ -90,11 +89,6 @@ class Vcap {
   }
 
   // ---- Anti-evasion hardening (robust.enabled only) ----
-  // The steal fraction observed *between* the two most recent windows — the
-  // corroboration signal for the duty-cycle plausibility check. A
-  // probe-evading co-tenant is quiet inside windows but loud outside them,
-  // so a large off-window/in-window gap marks the window implausible.
-  double OffWindowStealFrac(int cpu) const { return offwindow_steal_frac_[cpu]; }
   // vCPUs whose recent windows were persistently implausible; their
   // published estimates are replaced by the corroborated off-window view.
   CpuMask QuarantinedMask() const { return quarantined_; }

@@ -54,11 +54,12 @@ struct RunSpec {
   TimeNs vcpu_latency = MsToNs(2);
   bool best_effort = false;
 
-  // Tickless simulation (guest NOHZ tick elision + dormant host bandwidth
-  // refills). Deliberately NOT part of Id(): rows must byte-compare across
-  // the two modes, which is exactly what the vsched_run_tickless ctest and
-  // the tickless CI job assert.
-  bool tickless = false;
+  // Guest NOHZ tick elision and dormant host bandwidth refills
+  // (GuestParams::tickless, HostSchedParams::tickless). `false` selects the
+  // ticking reference that the TicklessTwin tests
+  // (tests/runner/tickless_twin_test.cc) byte-compare against; no other
+  // code sets it to false, and it is not part of Id().
+  bool tickless = true;
 
   // Named fault plan (src/fault/fault_plan.h) driving deterministic chaos
   // injection, or empty/"none" for a clean run. NOT part of Id(): a chaos

@@ -145,36 +145,6 @@ EventId EventQueue::FinishSchedule(TimeNs when, uint32_t index) {
   return EventId(PackId(index, node.generation));
 }
 
-void EventQueue::AppendUnsifted(TimeNs when, uint32_t index) {
-  heap_.push_back(HeapSlot{when, next_seq_++, index});
-  NodeAt(index).heap_pos = static_cast<int32_t>(heap_.size() - 1);
-  ++counters_->events_scheduled;
-}
-
-void EventQueue::RestoreHeap(size_t appended) {
-  if (appended == 0) {
-    return;
-  }
-  const size_t n = heap_.size();
-  if (n >= 2 && appended >= n / 8) {
-    // The batch dominates: one Floyd pass over the whole heap is cheaper
-    // than per-element sifts and yields a valid (if differently shaped)
-    // heap — dispatch order is (when, seq), so the shape is unobservable.
-    for (size_t pos = (n - 2) / 4 + 1; pos-- > 0;) {
-      SiftDown(pos);
-    }
-  } else {
-    // Small batch into a large heap: sift each appended slot up in append
-    // order, exactly as N individual inserts would have.
-    for (size_t pos = n - appended; pos < n; ++pos) {
-      SiftUp(pos);
-    }
-  }
-  if (audit::Enabled()) {
-    AuditVerify();
-  }
-}
-
 bool EventQueue::Cancel(EventId id) {
   if (!id.valid()) {
     return false;

@@ -76,24 +76,6 @@ class EventQueue {
     return ScheduleAt(now_ + delay, std::forward<F>(fn));
   }
 
-  // Bulk scheduling: equivalent to `for i: ScheduleAt(whens[i], make_fn(i))`
-  // in index order — same node allocation, same sequence numbering, and
-  // therefore the same dispatch order, because events fire in (when, seq)
-  // order regardless of the heap's internal shape. The heap invariant is
-  // restored once at the end (sift-up per element for small batches, a full
-  // Floyd repair when the batch dominates the heap) instead of per insert.
-  // Handles are deliberately not returned: batch-posted events cannot be
-  // individually cancelled — use ScheduleAt when you need an EventId.
-  template <typename MakeFn>
-  void PostBatch(const std::vector<TimeNs>& whens, MakeFn&& make_fn) {
-    for (size_t i = 0; i < whens.size(); ++i) {
-      uint32_t index = BeginSchedule(whens[i]);
-      NodeAt(index).fn.Emplace(make_fn(i));
-      AppendUnsifted(whens[i], index);
-    }
-    RestoreHeap(whens.size());
-  }
-
   // Cancels a pending event. Returns true if the event was still pending.
   bool Cancel(EventId id);
 
@@ -176,11 +158,6 @@ class EventQueue {
   // then heap insertion + id minting.
   uint32_t BeginSchedule(TimeNs when);
   EventId FinishSchedule(TimeNs when, uint32_t index);
-
-  // The non-template halves of PostBatch: append a slot without sifting,
-  // then repair the heap invariant for the last `appended` slots.
-  void AppendUnsifted(TimeNs when, uint32_t index);
-  void RestoreHeap(size_t appended);
 
   // Index-tracking 4-ary heap primitives: every time a slot moves, the
   // owning node's heap_pos follows it.

@@ -7,7 +7,7 @@
 // simulation"):
 //  - the 4-ary event heap (At/After) for one-shot and far-future events;
 //  - the hierarchical timer wheel (CreateTimer/ArmTimerAt) for periodic and
-//    near-future timers — scheduler ticks, bandwidth refills, Every().
+//    near-future timers — scheduler ticks, bandwidth refills.
 // The run loop drains them in lockstep; at equal timestamps the wheel's
 // "timer band" fires before heap events, and within the band timers fire in
 // (deadline, TimerId) order. Both orderings are history-independent, which
@@ -17,12 +17,9 @@
 #define SRC_SIM_SIMULATION_H_
 
 #include <cstdint>
-#include <functional>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "src/base/audit.h"
 #include "src/base/check.h"
@@ -136,28 +133,6 @@ class Simulation {
   // Runs `dur` more nanoseconds of simulated time.
   void RunFor(TimeNs dur) { RunUntil(now() + dur); }
 
-  // Installs a repeating callback every `period` ns starting at now()+period
-  // (wheel-backed). The callback keeps firing until the returned handle is
-  // cancelled via CancelPeriodic. Handles stay valid across firings.
-  class PeriodicHandle;
-  PeriodicHandle* Every(TimeNs period, std::function<void()> fn);
-  void CancelPeriodic(PeriodicHandle* handle);
-
-  class PeriodicHandle {
-   public:
-    PeriodicHandle(Simulation* sim, TimeNs period, std::function<void()> fn)
-        : sim_(sim), period_(period), fn_(std::move(fn)) {}
-
-   private:
-    friend class Simulation;
-
-    Simulation* sim_;
-    TimeNs period_;
-    std::function<void()> fn_;
-    TimerId timer_ = kInvalidTimerId;
-    bool cancelled_ = false;
-  };
-
  private:
   EventQueue queue_;
   TimerWheel wheel_;
@@ -169,11 +144,6 @@ class Simulation {
   TimeNs band_closed_at_ = -1;
   uint64_t event_budget_ = 0;
   uint64_t events_dispatched_ = 0;
-  // Handles live until the simulation dies; they are tiny and this keeps
-  // pointers stable for callers that cancel much later. Keeping them per
-  // simulation (not process-global) lets independent simulations run on
-  // different threads without sharing mutable state.
-  std::vector<std::unique_ptr<PeriodicHandle>> periodic_handles_;
 };
 
 }  // namespace vsched

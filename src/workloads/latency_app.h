@@ -66,9 +66,6 @@ class LatencyApp : public Workload {
   // Live throughput (requests/s per report interval).
   const TimeSeries& live_throughput() const { return live_; }
 
-  // Changes the offered load at runtime.
-  void SetArrivalRate(double per_sec) { params_.arrival_rate_per_sec = per_sec; }
-
  private:
   class WorkerBehavior;
   struct Request {

@@ -396,8 +396,17 @@ TEST_F(AuditTest, WheelReadyOrderCorruptionIsCaught) {
 TEST_F(AuditTest, WheelCorruptionFiresFromTheRunLoopHook) {
   Simulation sim(/*seed=*/7);
   int near_fires = 0;
-  sim.Every(MsToNs(1), [&] { ++near_fires; });
-  sim.Every(MsToNs(200), [] {});  // far periodic: sits in a high-level bucket
+  // Periodic timers as production arms them: one registered slot, re-armed
+  // from its own callback.
+  TimerId near = kInvalidTimerId;
+  near = sim.CreateTimer([&] {
+    ++near_fires;
+    sim.ArmTimerAfter(near, MsToNs(1));
+  });
+  sim.ArmTimerAfter(near, MsToNs(1));
+  TimerId far = kInvalidTimerId;
+  far = sim.CreateTimer([&] { sim.ArmTimerAfter(far, MsToNs(200)); });
+  sim.ArmTimerAfter(far, MsToNs(200));  // far periodic: sits in a high-level bucket
   sim.RunFor(MsToNs(1));
   ASSERT_EQ(audit::ViolationCount(), 0u);
   AuditTestAccess::BreakWheelBucketDeadline(sim.wheel());
@@ -413,7 +422,12 @@ TEST_F(AuditTest, SimulationClockStaysMonotone) {
   Simulation sim(/*seed=*/42);
   int fired = 0;
   sim.After(MsToNs(1), [&] { ++fired; });
-  sim.Every(MsToNs(2), [&] { ++fired; });
+  TimerId periodic = kInvalidTimerId;
+  periodic = sim.CreateTimer([&] {
+    ++fired;
+    sim.ArmTimerAfter(periodic, MsToNs(2));
+  });
+  sim.ArmTimerAfter(periodic, MsToNs(2));
   sim.RunUntil(MsToNs(10));
   sim.RunFor(MsToNs(5));
   EXPECT_GT(fired, 0);

@@ -74,6 +74,46 @@ TEST(ExperimentTest, RcvmBootsAndProbesShapedCapacities) {
   EXPECT_LT(vcap.CapacityOf(8), 0.25 * lc);
 }
 
+// Shaping gives a thread its class granularities and keeps every other knob
+// of the machine's: a machine built as the ticking reference stays ticking
+// on every thread, shaped or not. `granularity_of(t)` is the granularity
+// shaping gives thread t, or 0 for a thread it leaves alone.
+using ShapeFn = void (*)(Simulation*, HostMachine*, std::vector<std::unique_ptr<Stressor>>&);
+void ExpectShapingKeepsTheMachinesOtherKnobs(const TopologySpec& topology, ShapeFn shape,
+                                             TimeNs (*granularity_of)(int)) {
+  HostSchedParams ticking;
+  ticking.tickless = false;
+  Simulation sim(1);
+  HostMachine machine(&sim, topology, ticking);
+  std::vector<std::unique_ptr<Stressor>> stressors;
+  shape(&sim, &machine, stressors);
+  for (int t = 0; t < machine.num_threads(); ++t) {
+    const HostSchedParams& params = machine.sched(t).params();
+    const TimeNs shaped = granularity_of(t);
+    EXPECT_FALSE(params.tickless) << "thread " << t;
+    EXPECT_EQ(params.min_granularity, shaped > 0 ? shaped : ticking.min_granularity)
+        << "thread " << t;
+    EXPECT_EQ(params.wakeup_granularity, shaped > 0 ? shaped : ticking.wakeup_granularity)
+        << "thread " << t;
+  }
+}
+
+TEST(ExperimentTest, RcvmShapingKeepsTheMachinesOtherKnobs) {
+  // Threads 0-7: two per class; 8 and 9: stragglers; 10: the stacked pair.
+  ExpectShapingKeepsTheMachinesOtherKnobs(RcvmHostTopology(), ShapeRcvmHost, [](int t) {
+    const VcpuClassShape classes[4] = {HchlShape(), HcllShape(), LchlShape(), LcllShape()};
+    return t < 8 ? classes[t / 2].granularity : t < 10 ? StragglerShape().granularity : 0;
+  });
+}
+
+TEST(ExperimentTest, HpvmShapingKeepsTheMachinesOtherKnobs) {
+  // Sockets 0-2 shape their first eight threads; socket 3 is dedicated.
+  ExpectShapingKeepsTheMachinesOtherKnobs(HpvmHostTopology(), ShapeHpvmHost, [](int t) {
+    const VcpuClassShape classes[4] = {HchlShape(), HcllShape(), LchlShape(), LcllShape()};
+    return t / 10 < 3 && t % 10 < 8 ? classes[t % 10 / 2].granularity : TimeNs{0};
+  });
+}
+
 TEST(ExperimentTest, GeoMean) {
   EXPECT_NEAR(GeoMean({1.0, 4.0}), 2.0, 1e-9);
   EXPECT_NEAR(GeoMean({2.0, 2.0, 2.0}), 2.0, 1e-9);

@@ -24,37 +24,6 @@ TEST(SimulationTest, AfterSchedulesRelative) {
   EXPECT_EQ(fired_at, 150);
 }
 
-TEST(SimulationTest, PeriodicFiresRepeatedly) {
-  Simulation sim(1);
-  int count = 0;
-  sim.Every(MsToNs(1), [&] { ++count; });
-  sim.RunFor(MsToNs(10));
-  EXPECT_EQ(count, 10);
-}
-
-TEST(SimulationTest, CancelPeriodicStopsFiring) {
-  Simulation sim(1);
-  int count = 0;
-  auto* handle = sim.Every(MsToNs(1), [&] { ++count; });
-  sim.RunFor(MsToNs(5));
-  sim.CancelPeriodic(handle);
-  sim.RunFor(MsToNs(5));
-  EXPECT_EQ(count, 5);
-}
-
-TEST(SimulationTest, CancelPeriodicFromInsideCallback) {
-  Simulation sim(1);
-  int count = 0;
-  Simulation::PeriodicHandle* handle = nullptr;
-  handle = sim.Every(MsToNs(1), [&] {
-    if (++count == 3) {
-      sim.CancelPeriodic(handle);
-    }
-  });
-  sim.RunFor(MsToNs(10));
-  EXPECT_EQ(count, 3);
-}
-
 TEST(SimulationTest, TimerBandPositionAtAnInstant) {
   Simulation sim(1);
   TimerId early = sim.CreateTimer([] {});

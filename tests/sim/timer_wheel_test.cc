@@ -279,12 +279,18 @@ TEST(TimerWheelDifferential, RandomOpsMatchHeapBackend) {
   EXPECT_EQ(heap.PendingCount(), 0u);
 }
 
-// The same invariant one level up: Simulation::Every (wheel-backed) against a
+// The same invariant one level up: a periodic wheel timer re-armed from its
+// own callback (how every production tick and refill runs) against a
 // hand-scheduled heap chain produces the same firing timeline.
 TEST(TimerWheelDifferential, PeriodicMatchesHeapChain) {
   Simulation sim(1);
   std::vector<TimeNs> wheel_ticks;
-  sim.Every(MsToNs(1), [&] { wheel_ticks.push_back(sim.now()); });
+  TimerId tick = kInvalidTimerId;
+  tick = sim.CreateTimer([&] {
+    wheel_ticks.push_back(sim.now());
+    sim.ArmTimerAfter(tick, MsToNs(1));
+  });
+  sim.ArmTimerAfter(tick, MsToNs(1));
 
   EventQueue heap;
   std::vector<TimeNs> heap_ticks;
