@@ -415,7 +415,6 @@ int main(int argc, char** argv) {
     uint64_t slab_allocs = 0;
     uint64_t picks = 0;
     uint64_t timer_fires = 0;
-    uint64_t timer_cascades = 0;
     uint64_t ticks_elided = 0;
     uint64_t barriers = 0;
     for (const RunResult& result : results) {
@@ -424,7 +423,6 @@ int main(int argc, char** argv) {
       slab_allocs += result.counters.event_slab_allocs;
       picks += result.counters.rq_picks;
       timer_fires += result.counters.timer_fires;
-      timer_cascades += result.counters.timer_cascades;
       ticks_elided += result.counters.ticks_elided;
       barriers += result.counters.fleet_barriers;
     }
@@ -440,9 +438,8 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(picks),
                  static_cast<unsigned long long>(cb_heap_allocs),
                  static_cast<unsigned long long>(slab_allocs));
-    std::fprintf(human, "timers: %llu fires, %llu cascades, %llu ticks elided\n",
+    std::fprintf(human, "timers: %llu fires, %llu ticks elided\n",
                  static_cast<unsigned long long>(timer_fires),
-                 static_cast<unsigned long long>(timer_cascades),
                  static_cast<unsigned long long>(ticks_elided));
     if (barriers > 0) {
       std::fprintf(human, "fleet: %llu barriers (all cells stopped for the coordinator)\n",

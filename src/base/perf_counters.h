@@ -30,10 +30,13 @@ struct PerfCounters {
   uint64_t rq_dequeues = 0;
   uint64_t rq_picks = 0;
 
-  // Timer-wheel traffic (the periodic "timer band"; see src/sim/timer_wheel.h).
+  // Timer-band traffic (see src/sim/timer_wheel.h). A re-arm of an armed
+  // timer counts as a cancel and an arm.
   uint64_t timer_arms = 0;
   uint64_t timer_fires = 0;
   uint64_t timer_cancels = 0;
+  // Always 0: the band is one heap and has no wheel levels to cascade. Kept
+  // because perfbench reads and reports it (`sim.timer_cascades`).
   uint64_t timer_cascades = 0;
 
   // Periodic firings skipped entirely by tickless elision (guest scheduler

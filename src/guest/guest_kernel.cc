@@ -42,8 +42,6 @@ GuestKernel::GuestKernel(Simulation* sim, HostMachine* machine, std::vector<Vcpu
   idle_ = CpuMask::FirstN(n);
   tick_timers_.reserve(static_cast<size_t>(n));
   tick_origins_.reserve(static_cast<size_t>(n));
-  std::vector<std::pair<TimerId, TimeNs>> arm_batch;
-  arm_batch.reserve(static_cast<size_t>(n));
   for (int i = 0; i < n; ++i) {
     // Stagger ticks so all vCPUs do not interrupt at the same instant. The
     // first firing defines the vCPU's tick grid for the whole run.
@@ -56,9 +54,8 @@ GuestKernel::GuestKernel(Simulation* sim, HostMachine* machine, std::vector<Vcpu
           OnTick(i);
         }));
     tick_origins_.push_back(sim_->now() + offset);
-    arm_batch.emplace_back(tick_timers_.back(), tick_origins_.back());
+    sim_->ArmTimerAt(tick_timers_.back(), tick_origins_.back());
   }
-  sim_->wheel().ArmBatch(arm_batch);
 }
 
 GuestKernel::~GuestKernel() {
@@ -515,13 +512,21 @@ double GuestKernel::CfsCapacityOf(int cpu) const {
 void GuestKernel::SetCapacityOverride(int cpu, double capacity) {
   VSCHED_CHECK(cpu >= 0 && cpu < num_vcpus());
   capacity_override_[cpu] = capacity;
+  asym_capacity_known_ = ComputeAsymCapacityKnown();
 }
 
 void GuestKernel::ClearCapacityOverrides() {
   std::fill(capacity_override_.begin(), capacity_override_.end(), -1.0);
+  asym_capacity_known_ = false;
 }
 
 bool GuestKernel::AsymCapacityKnown() const {
+  VSCHED_AUDIT_CHECK(asym_capacity_known_ == ComputeAsymCapacityKnown(),
+                     "asymmetric-capacity flag is stale");
+  return asym_capacity_known_;
+}
+
+bool GuestKernel::ComputeAsymCapacityKnown() const {
   double min_cap = -1;
   double max_cap = -1;
   for (double c : capacity_override_) {
@@ -722,6 +727,10 @@ void GuestKernel::NewIdleBalance(GuestVcpu* v, TimeNs now) {
   if (shutting_down_) {
     return;
   }
+  // Both passes pull only queued work from other vCPUs.
+  if (((queued_normal_ | queued_idle_) & ~CpuMask::Single(v->index())).Empty()) {
+    return;
+  }
   CpuMask allowed_all = CpuMask::FirstN(num_vcpus());
   if (TryPullInto(v, topology_.llc_mask[v->index()], /*idle_pull=*/true, now)) {
     return;
@@ -735,15 +744,19 @@ void GuestKernel::PeriodicBalance(GuestVcpu* v, TimeNs now) {
   }
   v->next_balance_ = now + params_->balance_interval;
 
-  // Pull phase: SMT domain, then LLC, then everything.
-  if (TryPullInto(v, topology_.smt_mask[v->index()], /*idle_pull=*/false, now)) {
-    return;
-  }
-  if (TryPullInto(v, topology_.llc_mask[v->index()], /*idle_pull=*/false, now)) {
-    return;
-  }
-  if (TryPullInto(v, CpuMask::FirstN(num_vcpus()), /*idle_pull=*/false, now)) {
-    return;
+  // Pull phase: SMT domain, then LLC, then everything. A non-idle pull
+  // takes only a queued normal task, so with none queued on another vCPU
+  // no pass can pull.
+  if (!(queued_normal_ & ~CpuMask::Single(v->index())).Empty()) {
+    if (TryPullInto(v, topology_.smt_mask[v->index()], /*idle_pull=*/false, now)) {
+      return;
+    }
+    if (TryPullInto(v, topology_.llc_mask[v->index()], /*idle_pull=*/false, now)) {
+      return;
+    }
+    if (TryPullInto(v, CpuMask::FirstN(num_vcpus()), /*idle_pull=*/false, now)) {
+      return;
+    }
   }
 
   // Push phase (stands in for nohz idle balancing): if tasks wait here while

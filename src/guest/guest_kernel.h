@@ -149,7 +149,8 @@ class GuestKernel {
 
   // Linux only enables misfit/asymmetric-capacity paths when the topology
   // declares distinct CPU capacities (SD_ASYM_CPUCAPACITY). In a VM that
-  // happens only when vcap publishes real capacities via overrides.
+  // happens only when vcap publishes real capacities via overrides. Cached
+  // when the overrides change; `--audit` recomputes it on every read.
   bool AsymCapacityKnown() const;
 
   // Schedule-domain rebuild (vtop → kernel module, §4).
@@ -282,6 +283,9 @@ class GuestKernel {
   void NewIdleBalance(GuestVcpu* v, TimeNs now);
   bool TryPullInto(GuestVcpu* v, CpuMask domain, bool idle_pull, TimeNs now);
 
+  // Rescans the overrides for AsymCapacityKnown's cached answer.
+  bool ComputeAsymCapacityKnown() const;
+
   // Behavior-action plumbing.
   void ApplyAction(Task* task, TaskAction action, bool on_cpu, TimeNs now, int waker_cpu = -1);
   void TimedWake(Task* task, uint64_t token);
@@ -305,6 +309,9 @@ class GuestKernel {
 
   GuestTopology topology_;
   std::vector<double> capacity_override_;  // <0 → none
+  // ComputeAsymCapacityKnown() as of the last override change. params_ is
+  // an immutable snapshot, so asym_capacity_ratio cannot move under it.
+  bool asym_capacity_known_ = false;
   CpuMask straggler_banned_;
   CpuMask stack_banned_;
 

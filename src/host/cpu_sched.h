@@ -113,7 +113,7 @@ class CpuSched {
   Rng rng_;
   TimeNs current_since_ = 0;   // when current_ started this stint
   TimeNs last_runtime_sync_ = 0;
-  // Slice-end and bandwidth-throttle deadlines are wheel timers registered
+  // Slice-end and bandwidth-throttle deadlines are band timers registered
   // once and re-armed in place: both are cancelled/re-armed on every
   // dispatch, which as heap events made them the queue's dominant churn
   // (fresh closure + O(log n) sift per context switch). The throttle timer

@@ -93,7 +93,7 @@ class HostEntity {
   bool queued_ = false;
   bool paused_ = false;
 
-  // Bandwidth control. The refill is a periodic wheel timer (timer band);
+  // Bandwidth control. The refill is a periodic band timer;
   // bw_refill_origin_ pins its grid so a dormant refill (the host parks the
   // timer while the entity is off-CPU, unthrottled, and fully refilled)
   // resumes on exactly the phase it would have kept. bw_refill_armed_ is the

@@ -1,18 +1,19 @@
-// Top-level simulation context: clock + event queue + timer wheel + root RNG.
+// Top-level simulation context: clock + event queue + timer band + root RNG.
 //
 // Every simulated component (host scheduler, guest kernel, workloads,
 // probers) holds a Simulation* and schedules its activity through it.
 //
-// Two timer backends share the clock (see docs/PERF.md, "Tickless
-// simulation"):
-//  - the 4-ary event heap (At/After) for one-shot and far-future events;
-//  - the hierarchical timer wheel (CreateTimer/ArmTimerAt) for periodic and
-//    near-future timers — scheduler ticks, bandwidth refills.
-// The run loop drains them in lockstep; at equal timestamps the wheel's
-// "timer band" fires before heap events, and within the band timers fire in
-// (deadline, TimerId) order. Both orderings are history-independent, which
-// is what lets tickless elision skip firings without perturbing any
-// neighbouring event (the byte-identical-JSONL contract).
+// Two timer backends share the clock (see docs/PERF.md, "The timer band"):
+//  - the 4-ary event queue (At/After) for one-shot closures — IPIs, timed
+//    wakes, probe windows, fault and adversary actions;
+//  - the timer band (CreateTimer/ArmTimerAt), registered timers re-armed in
+//    place — scheduler ticks, host slices and refills, burst completions,
+//    probe chunks, request arrivals.
+// The run loop drains them in lockstep; at equal timestamps the timer band
+// fires before heap events, and within the band timers fire in (deadline,
+// TimerId) order. Both orderings are history-independent, which is what
+// lets tickless elision skip firings without perturbing any neighbouring
+// event (the byte-identical-JSONL contract).
 #ifndef SRC_SIM_SIMULATION_H_
 #define SRC_SIM_SIMULATION_H_
 
@@ -67,7 +68,7 @@ class Simulation {
   }
   bool Cancel(EventId id) { return queue_.Cancel(id); }
 
-  // --- timer-wheel backend -------------------------------------------------
+  // --- timer band -----------------------------------------------------------
   // A timer is a registered slot with a fixed callback, re-armed in place:
   // the natural shape for periodic work (no per-firing allocation, no stale
   // handle growth). Ids are stable until DestroyTimer.
@@ -86,7 +87,7 @@ class Simulation {
   bool CancelTimer(TimerId id) { return wheel_.Cancel(id); }
   bool TimerArmed(TimerId id) const { return wheel_.IsArmed(id); }
 
-  // True if a wheel timer `id` armed *right now* for deadline `when` ==
+  // True if a band timer `id` armed *right now* for deadline `when` ==
   // now() would still fire at this instant, i.e. the current timestamp's
   // timer band has not yet passed the timer's (when, id) position, the
   // heap phase has not begun, and no RunUntil has already returned at this
@@ -105,7 +106,7 @@ class Simulation {
   }
 
   // Next firing time on the grid {origin + k*period, k >= 0} for a periodic
-  // wheel timer being re-armed at now(): now() itself when now() sits on the
+  // band timer being re-armed at now(): now() itself when now() sits on the
   // grid and the timer's band position this instant has not yet passed,
   // otherwise the next strictly-future grid point. This is what keeps an
   // elided-then-resumed periodic timer bit-identical to one that never

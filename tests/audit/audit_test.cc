@@ -68,83 +68,41 @@ struct AuditTestAccess {
 
   // ---- TimerWheel backdoors ----
 
-  // Shifts the farthest bucketed timer's deadline by two bucket widths: its
-  // bucket membership no longer matches the deadline's (level, bucket) hash.
-  // (Farthest, so near-term dispatch keeps working and run-loop hooks still
-  // get a chance to notice.)
-  static void BreakWheelBucketDeadline(TimerWheel& w) {
-    TimerWheel::Timer* worst = nullptr;
-    for (auto& t : w.timers_) {
-      if (t.state == TimerWheel::State::kBucket &&
-          (worst == nullptr || t.deadline > worst->deadline)) {
-        worst = &t;
-      }
-    }
-    ASSERT_NE(worst, nullptr) << "no bucketed timer to corrupt";
-    worst->deadline += 2 * TimerWheel::BucketWidth(worst->level);
-  }
-
-  // Clears the occupancy bit of a non-empty bucket: the dispatch probe would
-  // skip it, silently losing every timer inside.
-  static void BreakWheelOccupancy(TimerWheel& w) {
-    for (int level = 0; level < TimerWheel::kLevels; ++level) {
-      for (int b = 0; b < TimerWheel::kBuckets; ++b) {
-        if (!w.Bucket(level, b).empty()) {
-          w.occupancy_[level] &= ~(uint64_t{1} << b);
-          return;
-        }
-      }
-    }
-    FAIL() << "no occupied bucket to corrupt";
-  }
-
-  // Breaks a bucketed timer's (level, bucket, slot) back-pointer.
+  // Points an armed timer's position entry past its heap node.
   static void BreakWheelBackPointer(TimerWheel& w) {
-    for (auto& t : w.timers_) {
-      if (t.state == TimerWheel::State::kBucket) {
-        t.slot += 7;
-        return;
-      }
-    }
-    FAIL() << "no bucketed timer to corrupt";
+    ASSERT_FALSE(w.heap_.empty()) << "no armed timer to corrupt";
+    w.pos_[w.heap_.front().id] += 7;
   }
 
-  // Drops a timer from its bucket without fixing armed_count_ — the "timer
-  // lost across a cascade" failure mode.
+  // Drops a heap node without clearing its timer's position entry: the
+  // timer still reads as armed but can never fire.
   static void LoseWheelTimer(TimerWheel& w) {
-    for (int level = 0; level < TimerWheel::kLevels; ++level) {
-      for (int b = 0; b < TimerWheel::kBuckets; ++b) {
-        std::vector<uint32_t>& bucket = w.Bucket(level, b);
-        if (!bucket.empty()) {
-          w.timers_[bucket.back() - 1].state = TimerWheel::State::kIdle;
-          bucket.pop_back();
-          if (bucket.empty()) {
-            w.occupancy_[level] &= ~(uint64_t{1} << b);
-          }
-          return;
-        }
-      }
-    }
-    FAIL() << "no occupied bucket to corrupt";
+    ASSERT_FALSE(w.heap_.empty()) << "no armed timer to corrupt";
+    w.heap_.pop_back();
   }
 
   // Pretends dispatch already passed an armed timer's deadline (monotone
   // dispatch violation).
   static void BreakWheelMonotoneDispatch(TimerWheel& w) {
-    for (auto& t : w.timers_) {
-      if (t.state == TimerWheel::State::kBucket) {
-        w.fired_any_ = true;
-        w.last_fire_when_ = t.deadline + 1;
-        return;
-      }
-    }
-    FAIL() << "no bucketed timer to corrupt";
+    ASSERT_FALSE(w.heap_.empty()) << "no armed timer to corrupt";
+    w.fired_any_ = true;
+    w.last_fire_when_ = w.heap_.front().deadline + 1;
   }
 
-  // Swaps two ready-heap entries (requires >= 2 live entries).
-  static void BreakWheelReadyOrder(TimerWheel& w) {
-    ASSERT_GE(w.ready_.size(), 2u);
-    std::swap(w.ready_.front(), w.ready_.back());
+  // Swaps the root with the last node, repairing both position entries so
+  // that only the heap order is violated (requires >= 2 armed timers).
+  static void BreakWheelHeapOrder(TimerWheel& w) {
+    ASSERT_GE(w.heap_.size(), 2u);
+    std::swap(w.heap_.front(), w.heap_.back());
+    w.pos_[w.heap_.front().id] = 0;
+    w.pos_[w.heap_.back().id] = static_cast<uint32_t>(w.heap_.size() - 1);
+  }
+
+  // Relabels `victim`'s heap node with `other`'s id: the node names the
+  // wrong timer, and `victim`'s position entry no longer finds its node.
+  static void RelabelWheelNode(TimerWheel& w, TimerId victim, TimerId other) {
+    ASSERT_TRUE(w.IsArmed(victim));
+    w.heap_[w.pos_[victim]].id = other;
   }
 
   // ---- PairProbe backdoor ----
@@ -158,6 +116,12 @@ struct AuditTestAccess {
   // Flips one vCPU's bit in the idle candidate mask: the stale state an
   // update site that stopped re-deriving the masks would leave behind.
   static void FlipIdleBit(GuestKernel& k, int cpu) { k.idle_.Assign(cpu, !k.idle_.Test(cpu)); }
+
+  // Flips the cached asymmetric-capacity flag: the stale state an override
+  // writer that skipped the recompute would leave behind.
+  static void FlipAsymCapacityFlag(GuestKernel& k) {
+    k.asym_capacity_known_ = !k.asym_capacity_known_;
+  }
 
   // ---- Vcap / Vact backdoors ----
 
@@ -316,14 +280,22 @@ TEST_F(AuditTest, RunqueueSortCorruptionFiresFromThePickHook) {
 }
 
 TEST_F(AuditTest, CleanTimerWheelChurnReportsNothing) {
+  // Deadlines armed out of order, cancels, and re-arms both earlier and
+  // later, so every sift path moves nodes; audited after every step.
   TimerWheel w;
   std::vector<TimerId> ids;
   for (int i = 0; i < 32; ++i) {
     ids.push_back(w.Register([] {}));
-    w.Arm(ids.back(), (i + 1) * UsToNs(700));
+    w.Arm(ids.back(), ((i * 13) % 32 + 1) * UsToNs(700));
+    w.AuditVerify();
   }
   for (int i = 0; i < 32; i += 3) {
     w.Cancel(ids[static_cast<size_t>(i)]);
+    w.AuditVerify();
+  }
+  for (int i = 1; i < 32; i += 4) {
+    w.Arm(ids[static_cast<size_t>(i)], i % 8 == 1 ? UsToNs(100 + i) : MsToNs(50) + i);
+    w.AuditVerify();
   }
   for (;;) {
     TimeNs next = w.NextDeadlineAtMost(MsToNs(100));
@@ -331,27 +303,10 @@ TEST_F(AuditTest, CleanTimerWheelChurnReportsNothing) {
       break;
     }
     w.RunOne(next);
+    w.AuditVerify();
   }
-  w.AuditVerify();
+  EXPECT_EQ(w.ArmedCount(), 0u);
   EXPECT_EQ(audit::ViolationCount(), 0u);
-}
-
-TEST_F(AuditTest, WheelBucketHashCorruptionIsCaught) {
-  TimerWheel w;
-  w.Arm(w.Register([] {}), MsToNs(5));
-  AuditTestAccess::BreakWheelBucketDeadline(w);
-  w.AuditVerify();
-  EXPECT_GT(audit::ViolationCount(), 0u);
-  EXPECT_TRUE(AnyViolationContains("hashes to a different bucket"));
-}
-
-TEST_F(AuditTest, WheelOccupancyCorruptionIsCaught) {
-  TimerWheel w;
-  w.Arm(w.Register([] {}), MsToNs(5));
-  AuditTestAccess::BreakWheelOccupancy(w);
-  w.AuditVerify();
-  EXPECT_GT(audit::ViolationCount(), 0u);
-  EXPECT_TRUE(AnyViolationContains("occupancy bit disagrees"));
 }
 
 TEST_F(AuditTest, WheelBackPointerCorruptionIsCaught) {
@@ -360,7 +315,8 @@ TEST_F(AuditTest, WheelBackPointerCorruptionIsCaught) {
   AuditTestAccess::BreakWheelBackPointer(w);
   w.AuditVerify();
   EXPECT_GT(audit::ViolationCount(), 0u);
-  EXPECT_TRUE(AnyViolationContains("back-pointer disagrees"));
+  EXPECT_TRUE(AnyViolationContains("position entry disagrees"));
+  EXPECT_TRUE(AnyViolationContains("armed timer missing from the heap"));
 }
 
 TEST_F(AuditTest, WheelLostTimerIsCaught) {
@@ -370,6 +326,7 @@ TEST_F(AuditTest, WheelLostTimerIsCaught) {
   w.AuditVerify();
   EXPECT_GT(audit::ViolationCount(), 0u);
   EXPECT_TRUE(AnyViolationContains("armed count out of sync"));
+  EXPECT_TRUE(AnyViolationContains("armed timer missing from the heap"));
 }
 
 TEST_F(AuditTest, WheelMonotoneDispatchViolationIsCaught) {
@@ -381,16 +338,16 @@ TEST_F(AuditTest, WheelMonotoneDispatchViolationIsCaught) {
   EXPECT_TRUE(AnyViolationContains("precedes the last dispatch"));
 }
 
+// The name predates the heap, which now holds every armed timer.
 TEST_F(AuditTest, WheelReadyOrderCorruptionIsCaught) {
   TimerWheel w;
   w.Arm(w.Register([] {}), MsToNs(2));
   w.Arm(w.Register([] {}), MsToNs(2) + 100);
-  // Promote both into the ready heap without firing them.
   ASSERT_EQ(w.NextDeadlineAtMost(MsToNs(3)), MsToNs(2));
-  AuditTestAccess::BreakWheelReadyOrder(w);
+  AuditTestAccess::BreakWheelHeapOrder(w);
   w.AuditVerify();
   EXPECT_GT(audit::ViolationCount(), 0u);
-  EXPECT_TRUE(AnyViolationContains("ready heap order violated"));
+  EXPECT_TRUE(AnyViolationContains("heap order violated"));
 }
 
 TEST_F(AuditTest, WheelCorruptionFiresFromTheRunLoopHook) {
@@ -406,16 +363,16 @@ TEST_F(AuditTest, WheelCorruptionFiresFromTheRunLoopHook) {
   sim.ArmTimerAfter(near, MsToNs(1));
   TimerId far = kInvalidTimerId;
   far = sim.CreateTimer([&] { sim.ArmTimerAfter(far, MsToNs(200)); });
-  sim.ArmTimerAfter(far, MsToNs(200));  // far periodic: sits in a high-level bucket
+  sim.ArmTimerAfter(far, MsToNs(200));
   sim.RunFor(MsToNs(1));
   ASSERT_EQ(audit::ViolationCount(), 0u);
-  AuditTestAccess::BreakWheelBucketDeadline(sim.wheel());
+  AuditTestAccess::RelabelWheelNode(sim.wheel(), far, near);
   // No direct AuditVerify call: the run loop's post-dispatch hook must fire
   // on the next near-timer dispatch.
   sim.RunFor(MsToNs(2));
   EXPECT_GT(near_fires, 1);
   EXPECT_GT(audit::ViolationCount(), 0u);
-  EXPECT_TRUE(AnyViolationContains("hashes to a different bucket"));
+  EXPECT_TRUE(AnyViolationContains("armed timer missing from the heap"));
 }
 
 TEST_F(AuditTest, SimulationClockStaysMonotone) {
@@ -500,6 +457,33 @@ TEST_F(AuditTest, StaleCandidateMaskIsCaught) {
   // Every mask update re-verifies all four masks: the periodic task's next
   // switch on vCPU 0 notices the bit of vCPU 3.
   sim.RunFor(MsToNs(1));
+  EXPECT_GT(audit::ViolationCount(), direct);
+}
+
+TEST_F(AuditTest, StaleAsymCapacityFlagIsCaught) {
+  Simulation sim(14);
+  TopologySpec topo;
+  topo.sockets = 1;
+  topo.cores_per_socket = 4;
+  HostMachine machine(&sim, topo);
+  Vm vm(&sim, &machine, MakeSimpleVmSpec("vm", 4));
+  GuestKernel& kernel = vm.kernel();
+  kernel.SetCapacityOverride(0, 0.3 * kCapacityScale);
+  kernel.SetCapacityOverride(1, kCapacityScale);
+  EXPECT_TRUE(kernel.AsymCapacityKnown());
+  kernel.ClearCapacityOverrides();
+  EXPECT_FALSE(kernel.AsymCapacityKnown());
+  ASSERT_EQ(audit::ViolationCount(), 0u);
+
+  AuditTestAccess::FlipAsymCapacityFlag(kernel);
+  kernel.AsymCapacityKnown();
+  const uint64_t direct = audit::ViolationCount();
+  EXPECT_GT(direct, 0u);
+  EXPECT_TRUE(AnyViolationContains("asymmetric-capacity flag is stale"));
+  // MisfitCheck reads the flag on every active tick.
+  PeriodicBehavior periodic(WorkAtCapacity(kCapacityScale, UsToNs(200)), UsToNs(300));
+  kernel.StartTask(kernel.CreateTask("p", TaskPolicy::kNormal, &periodic, CpuMask::Single(0)));
+  sim.RunFor(MsToNs(5));
   EXPECT_GT(audit::ViolationCount(), direct);
 }
 

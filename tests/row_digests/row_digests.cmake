@@ -1,4 +1,4 @@
-# ctest script: the rows of five short sweeps must hash to the SHA-256
+# ctest script: the rows of seven short sweeps must hash to the SHA-256
 # digests committed in digests.txt next to this file. A change that claims
 # byte identity passes unchanged; one that moves the baseline on purpose
 # records the new digests in update mode and says in CHANGES.md why the bytes
@@ -13,14 +13,22 @@
 #     capacities, both per-window medians, BVS, IVH and the asymmetric-
 #     capacity placement paths all run;
 #   - the tiny fleet (control plane, boots, departures, a live migration);
-#   - the adversary matrix (every attack, robust off and on).
+#   - the adversary matrix (every attack, robust off and on);
+#   - fig18_rcvm under the `everything` fault plan, where the timer band
+#     churns most: bandwidth caps imposed and lifted mid-run destroy and
+#     re-register refill timers (id recycling), and frequency droops cancel
+#     and re-arm burst completions;
+#   - the small fleet, whose host refills park and resume.
 
-set(sweeps fig02 fig18_rcvm fig19_hpvm fleet_tiny adversary)
+set(sweeps fig02 fig18_rcvm fig19_hpvm fleet_tiny adversary fig18_everything fleet_small)
 set(args_fig02 --experiment fig02 --warmup-ms 300 --measure-ms 900)
 set(args_fig18_rcvm --experiment fig18_rcvm --warmup-ms 300 --measure-ms 900)
 set(args_fig19_hpvm --experiment fig19_hpvm --warmup-ms 300 --measure-ms 900)
 set(args_fleet_tiny --fleet tiny)
 set(args_adversary --adversary)
+set(args_fig18_everything --experiment fig18_rcvm --fault-plan everything --warmup-ms 300
+    --measure-ms 900)
+set(args_fleet_small --fleet small --measure-ms 1000)
 
 if(EXISTS ${DIGESTS})
   file(STRINGS ${DIGESTS} lines REGEX "^[a-z0-9_]+ [0-9a-f]+$")

@@ -1,10 +1,14 @@
-// TimerWheel unit tests plus the differential stress against the 4-ary event
-// heap: under a random schedule/cancel/advance workload the wheel must
-// produce exactly the dispatch sequence the heap backend would.
+// Timer band unit tests, the differential stress against the 4-ary event
+// queue (under a random schedule/cancel/advance workload the band must
+// produce exactly the dispatch sequence the queue would), and a model test
+// of the band contract against an ordered-set reference. Some test names
+// predate the heap and still speak of buckets and cascades.
 #include "src/sim/timer_wheel.h"
 
 #include <algorithm>
+#include <deque>
 #include <functional>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -65,11 +69,11 @@ TEST(TimerWheel, SameDeadlineFiresInRegistrationOrder) {
 TEST(TimerWheel, FarDeadlineCascadesDownToExactFiring) {
   TimerWheel wheel;
   std::vector<TimeNs> fired;
-  // Deep into level 5 territory: crosses several cascades on the way down.
+  // About 73 simulated minutes ahead.
   const TimeNs kWhen = (TimeNs{1} << 42) + 777;
   TimerId id = wheel.Register([&] { fired.push_back(kWhen); });
   wheel.Arm(id, kWhen);
-  // A near probe must not disturb it (and must stay cheap / bounded).
+  // A near probe must not disturb it.
   EXPECT_EQ(wheel.NextDeadlineAtMost(MsToNs(1)), kTimeInfinity);
   EXPECT_TRUE(wheel.IsArmed(id));
   EXPECT_EQ(wheel.NextDeadlineAtMost(kWhen - 1), kTimeInfinity);
@@ -99,8 +103,7 @@ TEST(TimerWheel, CancelAfterPromotionToReady) {
   TimerId keeper = wheel.Register([&] { ++fires; });
   wheel.Arm(victim, MsToNs(2));
   wheel.Arm(keeper, MsToNs(2) + 100);
-  // The probe may pull both into the ready heap; cancelling afterwards must
-  // still win (lazy invalidation).
+  // Cancelling the earliest timer after a probe has seen it must still win.
   EXPECT_EQ(wheel.NextDeadlineAtMost(MsToNs(3)), MsToNs(2));
   EXPECT_TRUE(wheel.Cancel(victim));
   EXPECT_EQ(wheel.NextDeadlineAtMost(MsToNs(3)), MsToNs(2) + 100);
@@ -238,8 +241,7 @@ TEST(TimerWheelDifferential, RandomOpsMatchHeapBackend) {
     int i = static_cast<int>(rng.UniformInt(0, kTimers - 1));
     MirroredTimer& t = timers[i];
     if (roll < 5) {
-      // Arm (or re-arm) with a delta spanning sub-bucket to multi-level
-      // distances: 2^0 .. 2^36 ns.
+      // Arm (or re-arm) with a delta of 2^0 .. 2^36 ns.
       int magnitude = static_cast<int>(rng.UniformInt(0, 36));
       TimeNs delta = 1 + static_cast<TimeNs>(rng.UniformInt(0, (TimeNs{1} << magnitude)));
       TimeNs when = unique_deadline(now + delta);
@@ -304,6 +306,242 @@ TEST(TimerWheelDifferential, PeriodicMatchesHeapChain) {
   heap.RunUntil(MsToNs(100));
   EXPECT_EQ(wheel_ticks, heap_ticks);
   EXPECT_EQ(wheel_ticks.size(), 100u);
+}
+
+// ---------------------------------------------------------------------------
+// Model test: the band contract against an ordered-set reference.
+// ---------------------------------------------------------------------------
+
+// The reference holds the armed timers as a set of (deadline, id) and fires
+// its minimum. That is the whole band contract: timers fire in (deadline,
+// TimerId) order, and a timer armed from a callback for the dispatching
+// instant still fires this instant, late if the band already passed its id.
+// The reference also predicts LIFO id reuse and StillFiresAt's band
+// high-water mark. Operations come from the test body and from inside firing
+// callbacks, and deadlines sit on coarse grids so that ties are common: a
+// wheel that broke a tie other than by id would fire another sequence.
+class BandModel {
+ public:
+  struct Stats {
+    int fires = 0;
+    int ties = 0;           // fires at the same instant as the previous fire
+    int late_fires = 0;     // ...whose id is below one already fired there
+    int recycled_ids = 0;   // Register calls that reused a retired id
+    int callback_arms = 0;  // arms issued from inside a firing callback
+  };
+
+  BandModel(uint64_t seed, std::vector<TimeNs> quanta)
+      : rng_(seed), quanta_(std::move(quanta)) {}
+
+  // Runs `ops` random operations, then drains everything still armed.
+  void Run(int ops) {
+    for (int op = 0; op < ops && !::testing::Test::HasFailure(); ++op) {
+      if (rng_.Bernoulli(0.3)) {
+        const TimeNs until = now_ + Delta();
+        Drain(until);
+        now_ = until;
+      } else {
+        RandomOp(kInvalidTimerId);
+      }
+    }
+    Drain(kTimeInfinity - 1);
+    EXPECT_EQ(wheel_.ArmedCount(), 0u);
+    EXPECT_EQ(fired_, expected_);
+  }
+
+  const Stats& stats() const { return stats_; }
+
+ private:
+  static constexpr size_t kMaxLive = 40;
+  static constexpr int kMaxFiresPerInstant = 64;
+
+  // A step from now_: zero (this instant) or a few quanta.
+  TimeNs Delta() {
+    if (fires_this_instant_ < kMaxFiresPerInstant && rng_.Bernoulli(0.2)) {
+      return 0;
+    }
+    const auto q = rng_.UniformInt(0, static_cast<int64_t>(quanta_.size()) - 1);
+    return quanta_[static_cast<size_t>(q)] * rng_.UniformInt(1, 6);
+  }
+
+  TimerId Pick() {
+    const auto i = rng_.UniformInt(0, static_cast<int64_t>(live_.size()) - 1);
+    return live_[static_cast<size_t>(i)];
+  }
+
+  // One operation; `firing` is the timer whose callback issues it, if any.
+  void RandomOp(TimerId firing) {
+    const int64_t roll = rng_.UniformInt(0, 9);
+    if (live_.empty() || (roll < 2 && live_.size() < kMaxLive)) {
+      Register();
+    } else if (roll == 2) {
+      const TimerId id = Pick();
+      if (id != firing) {  // a callback never retires its own slot
+        Unregister(id);
+      }
+    } else if (roll < 7) {
+      Arm(Pick(), now_ + Delta());
+      if (firing != kInvalidTimerId) {
+        ++stats_.callback_arms;
+      }
+    } else if (roll == 7) {
+      const TimerId id = Pick();
+      const bool armed = when_[id] != kTimeInfinity;
+      EXPECT_EQ(wheel_.Cancel(id), armed);
+      Disarm(id);
+    } else {
+      const TimerId id = Pick();
+      EXPECT_EQ(wheel_.IsArmed(id), when_[id] != kTimeInfinity);
+      EXPECT_EQ(wheel_.ArmedAt(id), when_[id]);
+      EXPECT_EQ(wheel_.StillFiresAt(id, now_), StillFires(id, now_));
+    }
+  }
+
+  void Register() {
+    TimerId want = static_cast<TimerId>(when_.size());
+    if (!free_.empty()) {
+      want = free_.back();
+      free_.pop_back();
+      ++stats_.recycled_ids;
+    } else {
+      when_.push_back(kTimeInfinity);
+    }
+    TimerId* self = &self_ids_.emplace_back(want);
+    const TimerId id = wheel_.Register([this, self] { OnFire(*self); });
+    EXPECT_EQ(id, want) << "ids are recycled LIFO";
+    if (id == want) {
+      live_.push_back(id);
+    }
+  }
+
+  void Unregister(TimerId id) {
+    wheel_.Unregister(id);
+    Disarm(id);
+    live_.erase(std::find(live_.begin(), live_.end(), id));
+    free_.push_back(id);
+  }
+
+  void Arm(TimerId id, TimeNs when) {
+    wheel_.Arm(id, when);
+    Disarm(id);
+    when_[id] = when;
+    armed_.emplace(when, id);
+  }
+
+  void Disarm(TimerId id) {
+    if (when_[id] != kTimeInfinity) {
+      armed_.erase({when_[id], id});
+      when_[id] = kTimeInfinity;
+    }
+  }
+
+  bool StillFires(TimerId id, TimeNs when) const {
+    return !(fired_any_ && when == last_when_ && id <= band_high_);
+  }
+
+  // Fires the reference's minimum while it is <= `until`, checking the
+  // wheel's probe, its pick, and StillFiresAt for every live id after each
+  // fire.
+  void Drain(TimeNs until) {
+    while (!::testing::Test::HasFailure()) {
+      const TimeNs want =
+          armed_.empty() || armed_.begin()->first > until ? kTimeInfinity : armed_.begin()->first;
+      const TimeNs got = wheel_.NextDeadlineAtMost(until);
+      EXPECT_EQ(got, want);
+      if (got != want || got == kTimeInfinity) {
+        return;
+      }
+      const auto [when, id] = *armed_.begin();
+      armed_.erase(armed_.begin());
+      when_[id] = kTimeInfinity;
+      if (fired_any_ && last_when_ == when) {
+        ++stats_.ties;
+        ++fires_this_instant_;
+        if (id < band_high_) {
+          ++stats_.late_fires;
+        }
+      } else {
+        band_high_ = kInvalidTimerId;
+        fires_this_instant_ = 1;
+      }
+      band_high_ = std::max(band_high_, id);
+      fired_any_ = true;
+      last_when_ = when;
+      now_ = when;
+      ++stats_.fires;
+      expected_.emplace_back(when, id);
+      wheel_.RunOne(got);
+      EXPECT_EQ(wheel_.ArmedCount(), armed_.size());
+      for (const TimerId x : live_) {
+        EXPECT_EQ(wheel_.StillFiresAt(x, now_), StillFires(x, now_))
+            << "timer " << x << " at " << now_;
+        EXPECT_TRUE(wheel_.StillFiresAt(x, now_ + 1));
+      }
+    }
+  }
+
+  void OnFire(TimerId self) {
+    fired_.emplace_back(now_, self);
+    const int64_t ops = rng_.UniformInt(0, 2);
+    for (int64_t i = 0; i < ops && !::testing::Test::HasFailure(); ++i) {
+      RandomOp(self);
+    }
+  }
+
+  Rng rng_;
+  std::vector<TimeNs> quanta_;
+  TimerWheel wheel_;
+  // Reference state.
+  std::set<std::pair<TimeNs, TimerId>> armed_;
+  std::vector<TimeNs> when_{kTimeInfinity};  // by id; kTimeInfinity: unarmed
+  std::vector<TimerId> live_;
+  std::vector<TimerId> free_;
+  std::deque<TimerId> self_ids_;  // each callback's own id, address-stable
+  TimeNs now_ = 0;
+  bool fired_any_ = false;
+  TimeNs last_when_ = 0;
+  TimerId band_high_ = kInvalidTimerId;
+  int fires_this_instant_ = 0;
+  // (deadline, id) of every fire: as the reference predicts it, and as the
+  // callbacks saw it.
+  std::vector<std::pair<TimeNs, TimerId>> expected_;
+  std::vector<std::pair<TimeNs, TimerId>> fired_;
+  Stats stats_;
+};
+
+void ExpectEveryCornerVisited(const BandModel::Stats& s) {
+  EXPECT_GT(s.ties, 0);
+  EXPECT_GT(s.late_fires, 0);
+  EXPECT_GT(s.recycled_ids, 0);
+  EXPECT_GT(s.callback_arms, 0);
+}
+
+TEST(TimerWheelModel, RandomWalksMatchTheOrderedSetReference) {
+  // Steps from one nanosecond to tens of milliseconds.
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    BandModel model(seed, {1, 1000, TimeNs{1} << 16, TimeNs{1} << 22});
+    model.Run(5000);
+    ExpectEveryCornerVisited(model.stats());
+    if (::testing::Test::HasFailure()) {
+      break;
+    }
+  }
+}
+
+TEST(TimerWheelModel, CrowdedInstantsMatchTheOrderedSetReference) {
+  // One-microsecond steps: a third or more of the fires share their instant
+  // with an earlier one.
+  for (uint64_t seed = 11; seed <= 14; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed);
+    BandModel model(seed, {1000});
+    model.Run(5000);
+    ExpectEveryCornerVisited(model.stats());
+    EXPECT_GT(model.stats().ties * 3, model.stats().fires);
+    if (::testing::Test::HasFailure()) {
+      break;
+    }
+  }
 }
 
 }  // namespace
