@@ -53,7 +53,7 @@
 //
 // Determinism. A (FleetSpec, seed, options) triple replays byte-identically,
 // and the JSONL a fleet run emits is byte-identical for every --shards value
-// (the vsched_run_fleet_sharded ctest), the same guarantee class as the
+// (the row_digests gate's --shards variants), the same guarantee class as the
 // runner's --jobs: the coordinator is sequential, the mailbox order is
 // canonical, cells share no mutable state between barriers, and per-cell
 // PerfCounters keep even the hot-path tallies race-free (merged in cell

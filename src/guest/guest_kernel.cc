@@ -106,10 +106,7 @@ Task* GuestKernel::CreateTask(std::string name, TaskPolicy policy, TaskBehavior*
   auto task =
       std::make_unique<Task>(next_task_id_++, std::move(name), policy, behavior, clipped);
   Task* raw = task.get();
-  // Rebind the signal into the kernel's arena: creation order == scan order
-  // for the classifier passes, so consecutive tasks' signals share lines.
-  raw->pelt_ = pelt_arena_.Allocate();
-  raw->pelt_->Seed(sim_->now(), kCapacityScale / 2);
+  raw->pelt_.Seed(sim_->now(), kCapacityScale / 2);
   tasks_.push_back(std::move(task));
   return raw;
 }
@@ -361,7 +358,7 @@ void GuestKernel::EnqueueTask(Task* task, int cpu, bool wakeup, int waker_cpu) {
   task->enqueue_time_ = now;
   // Designated PELT entry point: closes the task's waiting/sleeping span.
   // vsched-lint: allow(pelt-eager-update)
-  task->pelt_->Update(now, /*active=*/false);
+  task->pelt_.Update(now, /*active=*/false);
 
   double credit = wakeup ? static_cast<double>(params_->min_granularity) : 0.0;
   task->vruntime_ = std::max(task->vruntime_, v.rq_.min_vruntime() - credit);
@@ -700,7 +697,7 @@ void GuestKernel::MisfitCheck(GuestVcpu* v, TimeNs now) {
   double cap = CfsCapacityOf(v->index());
   // Lazy PELT: evaluate at `now` without writing the signal back — the tick
   // path must not be a mutation point (see the pelt-eager-update lint rule).
-  if (curr->pelt_->UtilAt(now, /*active=*/v->segment_open_) <
+  if (curr->pelt_.UtilAt(now, /*active=*/v->segment_open_) <
       params_->misfit_util_fraction * cap) {
     return;
   }

@@ -19,7 +19,6 @@
 #include "src/guest/cpumask.h"
 #include "src/guest/guest_topology.h"
 #include "src/guest/guest_vcpu.h"
-#include "src/guest/pelt_arena.h"
 #include "src/guest/task.h"
 #include "src/sim/rng.h"
 #include "src/sim/timer_wheel.h"
@@ -299,9 +298,8 @@ class GuestKernel {
   Rng rng_;
 
   std::vector<std::unique_ptr<GuestVcpu>> vcpus_;
-  // Declared before tasks_: tasks hold raw pointers into the arena and into
-  // the adopted behaviors, so both must be destroyed after them.
-  PeltArena pelt_arena_;
+  // Declared before tasks_: tasks hold raw pointers into the adopted
+  // behaviors, which must be destroyed after them.
   std::vector<std::unique_ptr<TaskBehavior>> adopted_behaviors_;
   std::vector<std::unique_ptr<Task>> tasks_;
   uint64_t next_task_id_ = 1;

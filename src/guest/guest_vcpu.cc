@@ -69,7 +69,7 @@ void GuestVcpu::OpenSegment(TimeNs now) {
   // was current counts as running time (as it would on real Linux in a VM).
   // Designated PELT entry point: opening a running span.
   // vsched-lint: allow(pelt-eager-update)
-  current_->pelt_->Update(now, /*active=*/true);
+  current_->pelt_.Update(now, /*active=*/true);
   segment_open_ = true;
   segment_start_ = now;
   segment_speed_ = kernel_->machine()->SpeedOf(thread_->tid());
@@ -116,7 +116,7 @@ void GuestVcpu::CloseSegment(TimeNs now) {
   // (the per-tick Update this replaces advanced the same exponential in
   // smaller steps — identical in the closed form).
   // vsched-lint: allow(pelt-eager-update)
-  current_->pelt_->Update(now, /*active=*/true);
+  current_->pelt_.Update(now, /*active=*/true);
   segment_open_ = false;
   sim_->CancelTimer(completion_timer_);
 }
@@ -137,7 +137,7 @@ void GuestVcpu::Dispatch(Task* next, TimeNs now) {
   VSCHED_CHECK(next->state_ == TaskState::kRunnable);
   // Designated PELT entry point: close out the waiting interval.
   // vsched-lint: allow(pelt-eager-update)
-  next->pelt_->Update(now, /*active=*/false);
+  next->pelt_.Update(now, /*active=*/false);
   TimeNs delay = now - next->enqueue_time_;
   next->last_queue_delay_ = delay;
   next->queue_wait_total_ns_ += delay;
@@ -170,7 +170,7 @@ void GuestVcpu::PutCurrent(TimeNs now, bool requeue) {
     prev->enqueue_time_ = now;
     // Designated PELT entry point: the preempted task starts waiting here.
     // vsched-lint: allow(pelt-eager-update)
-    prev->pelt_->Update(now, /*active=*/false);
+    prev->pelt_.Update(now, /*active=*/false);
     rq_.Enqueue(prev);
     kernel_->UpdateCandidateMasks(*this);
   }

@@ -100,12 +100,12 @@ class Task {
   void set_allowed(CpuMask mask) { allowed_ = mask; }
 
   // PELT utilization estimate in [0, kCapacityScale].
-  double util() const { return pelt_->util(); }
+  double util() const { return pelt_.util(); }
 
   // Utilization decayed to `now` (read-only; sleeping/waiting counts as
   // inactive, running counts as active).
   double UtilAt(TimeNs now) const {
-    return pelt_->UtilAt(now, state_ == TaskState::kRunning);
+    return pelt_.UtilAt(now, state_ == TaskState::kRunning);
   }
 
   // CFS virtual runtime (read-only; the kernel maintains it).
@@ -163,11 +163,7 @@ class Task {
   int prev_cpu_ = -1;
   double vruntime_ = 0;
   double vdeadline_ = 0;
-  // Points into the owning kernel's PeltArena for kernel-created tasks (set
-  // by CreateTask, contiguous in creation order for scan locality); tasks
-  // constructed standalone (tests, benches) fall back to the inline signal.
-  PeltSignal own_pelt_;
-  PeltSignal* pelt_ = &own_pelt_;
+  PeltSignal pelt_;
 
   Work burst_remaining_ = 0;
   TimeNs enqueue_time_ = 0;

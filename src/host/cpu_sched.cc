@@ -114,6 +114,10 @@ void CpuSched::Attach(HostEntity* e) {
 
 void CpuSched::Detach(HostEntity* e) {
   VSCHED_CHECK(e->sched_ == this);
+  // Leave the attached set first: the PickNext below schedules another
+  // entity in, whose guest can wake a third one here, and that wake audits
+  // the attached set before this call returns.
+  entities_.erase(std::find(entities_.begin(), entities_.end(), e));
   TimeNs now = sim_->now();
   if (e->bw_refill_timer_ != kInvalidTimerId) {
     sim_->DestroyTimer(e->bw_refill_timer_);
@@ -137,7 +141,6 @@ void CpuSched::Detach(HostEntity* e) {
     e->sched_ = nullptr;
   }
   e->throttled_ = false;
-  entities_.erase(std::find(entities_.begin(), entities_.end(), e));
   if (audit::Enabled()) {
     AuditVerify();
   }

@@ -8,6 +8,7 @@
 #include "src/guest/guest_kernel.h"
 #include "src/host/machine.h"
 #include "src/sim/simulation.h"
+#include "src/stats/stats.h"
 
 namespace vsched {
 
@@ -238,9 +239,7 @@ void PairProbe::Finish(double latency) {
   if (config_.robust.enabled && latency != kInfiniteLatency && !observations_.empty()) {
     // Median instead of minimum: a handful of corrupted-low observations
     // would otherwise make any pair look like SMT siblings.
-    std::vector<double> sorted = observations_;
-    std::sort(sorted.begin(), sorted.end());
-    latency = sorted[(sorted.size() - 1) / 2];
+    latency = LowerMedian(observations_);
   }
   PairProbeResult result;
   result.cpu_a = cpu_a_;

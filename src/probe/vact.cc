@@ -201,11 +201,7 @@ double Vact::ComputeMedianLatency() const {
       v.push_back(e.value());
     }
   }
-  if (v.empty()) {
-    return 0.0;
-  }
-  std::sort(v.begin(), v.end());
-  return v[(v.size() - 1) / 2];
+  return v.empty() ? 0.0 : LowerMedian(std::move(v));
 }
 
 double Vact::ConfidenceOf(int cpu) const {
@@ -225,11 +221,7 @@ double Vact::MedianConfidence() const {
   for (const ConfidenceTracker& t : confidence_) {
     scores.push_back(t.confidence());
   }
-  if (scores.empty()) {
-    return 1.0;
-  }
-  std::sort(scores.begin(), scores.end());
-  return scores[(scores.size() - 1) / 2];
+  return scores.empty() ? 1.0 : LowerMedian(std::move(scores));
 }
 
 VcpuStateView Vact::QueryState(int cpu) const {

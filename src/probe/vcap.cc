@@ -295,11 +295,7 @@ double Vcap::MedianConfidence() const {
       scores.push_back(confidence_[i].confidence());
     }
   }
-  if (scores.empty()) {
-    return 1.0;
-  }
-  std::sort(scores.begin(), scores.end());
-  return scores[(scores.size() - 1) / 2];
+  return scores.empty() ? 1.0 : LowerMedian(std::move(scores));
 }
 
 double Vcap::MedianCapacity() const {
@@ -320,11 +316,7 @@ double Vcap::ComputeMedianCapacity() const {
       caps.push_back(capacity_ema_[i].value());
     }
   }
-  if (caps.empty()) {
-    return kCapacityScale;
-  }
-  std::sort(caps.begin(), caps.end());
-  return caps[(caps.size() - 1) / 2];
+  return caps.empty() ? kCapacityScale : LowerMedian(std::move(caps));
 }
 
 }  // namespace vsched

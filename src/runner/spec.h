@@ -84,9 +84,9 @@ struct RunSpec {
 
   // Worker threads of the fleet engine (src/cluster/sharded_fleet.h); must
   // be >= 1. NOT part of Id(): fleet output is byte-identical for every
-  // value (the vsched_run_fleet_sharded ctest), so `shards` is an execution
-  // detail like --jobs, not an experiment axis. Ignored by non-fleet
-  // families.
+  // value (the row_digests gate's --shards variants), so `shards` is an
+  // execution detail like --jobs, not an experiment axis. Ignored by
+  // non-fleet families.
   int shards = 1;
 
   // Human/filterable identity, e.g. "fig18_rcvm/canneal/vsched" or

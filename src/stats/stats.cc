@@ -7,6 +7,12 @@
 
 namespace vsched {
 
+double LowerMedian(std::vector<double> values) {
+  VSCHED_CHECK(!values.empty());
+  std::sort(values.begin(), values.end());
+  return values[(values.size() - 1) / 2];
+}
+
 Ema Ema::WithHalfLife(double periods) {
   VSCHED_CHECK(periods > 0);
   // History weight (1 - alpha)^periods == 0.5.

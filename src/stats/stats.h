@@ -10,6 +10,10 @@
 
 namespace vsched {
 
+// The lower median: the element at index (n - 1) / 2 of `values` sorted
+// ascending, so always one of the inputs. `values` must not be empty.
+double LowerMedian(std::vector<double> values);
+
 // Exponential moving average, as used by vcap for capacity smoothing
 // (paper §3.1): new = alpha * sample + (1 - alpha) * old. `alpha` is derived
 // from a decay specification like "50% per 2 periods".

@@ -22,6 +22,8 @@
 #include "src/guest/runqueue.h"
 #include "src/guest/task.h"
 #include "src/guest/vm.h"
+#include "src/host/cpu_sched.h"
+#include "src/host/host_entity.h"
 #include "src/host/machine.h"
 #include "src/probe/pair_probe.h"
 #include "src/probe/vact.h"
@@ -523,6 +525,52 @@ TEST_F(AuditTest, StaleMedianLatencyIsCaught) {
   EXPECT_GT(audit::ViolationCount(), 0u);
   EXPECT_TRUE(AnyViolationContains("vact median latency memo is stale"));
   vact.Stop();
+}
+
+// Wakes `wakee` when scheduled in, as a vCPU thread does when its guest
+// pulls a task onto a sibling vCPU whose thread shares its hardware thread.
+class WakeOnScheduleIn : public HostEntity {
+ public:
+  explicit WakeOnScheduleIn(HostEntity* wakee) : HostEntity("waker"), wakee_(wakee) {}
+
+ protected:
+  void ScheduledIn(TimeNs now) override {
+    (void)now;
+    wakee_->SetWantsToRun(true);
+  }
+
+ private:
+  HostEntity* wakee_;
+};
+
+// Detaching the running entity schedules its successor in before Detach
+// returns; the successor's wake of a third entity audits the attached set,
+// which must no longer hold the entity being detached (a fleet tenant
+// teardown reshaping a running vCPU thread hit exactly this).
+TEST_F(AuditTest, WakeFromDetachSuccessorSeesACleanAttachedSet) {
+  Simulation sim(3);
+  TopologySpec topo;
+  topo.cores_per_socket = 1;
+  topo.threads_per_core = 1;
+  HostMachine machine(&sim, topo);
+  HostEntity leaving("leaving");
+  HostEntity sleeper("sleeper");
+  WakeOnScheduleIn waker(&sleeper);
+  machine.Attach(&leaving, 0);
+  machine.Attach(&waker, 0);
+  machine.Attach(&sleeper, 0);
+  leaving.SetWantsToRun(true);
+  waker.SetWantsToRun(true);
+  ASSERT_TRUE(leaving.running());
+  ASSERT_FALSE(sleeper.wants_to_run());
+
+  machine.sched(0).Detach(&leaving);
+  EXPECT_TRUE(waker.running());
+  EXPECT_TRUE(sleeper.wants_to_run());
+  EXPECT_EQ(machine.sched(0).attached_count(), 2u);
+  EXPECT_EQ(audit::ViolationCount(), 0u) << (Violations().empty() ? "" : Violations().front());
+  machine.sched(0).Detach(&waker);
+  machine.sched(0).Detach(&sleeper);
 }
 
 FleetSpec TinyFleet() {

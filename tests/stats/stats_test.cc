@@ -7,6 +7,24 @@
 namespace vsched {
 namespace {
 
+TEST(LowerMedianTest, OddSizeTakesTheMiddle) {
+  EXPECT_EQ(LowerMedian({7.0}), 7.0);
+  EXPECT_EQ(LowerMedian({3.0, 1.0, 2.0}), 2.0);
+  EXPECT_EQ(LowerMedian({9.0, -4.0, 5.5, 0.25, 100.0}), 5.5);
+}
+
+TEST(LowerMedianTest, EvenSizeTakesTheLowerOfTheMiddlePair) {
+  EXPECT_EQ(LowerMedian({2.0, 1.0}), 1.0);
+  EXPECT_EQ(LowerMedian({40.0, 10.0, 30.0, 20.0}), 20.0);
+}
+
+TEST(LowerMedianTest, TiesAndUnsortedInputReturnAnInput) {
+  EXPECT_EQ(LowerMedian({5.0, 5.0, 1.0, 5.0}), 5.0);
+  EXPECT_EQ(LowerMedian({1.0, 9.0, 1.0, 9.0}), 1.0);
+  // Never an average of two inputs: 0.1 and 0.3 average to 0.2, no input.
+  EXPECT_EQ(LowerMedian({0.3, 0.1}), 0.1);
+}
+
 TEST(EmaTest, FirstSampleInitializes) {
   Ema ema(0.3);
   EXPECT_FALSE(ema.has_value());
