@@ -2,12 +2,12 @@
 //
 // The audit layer is the dynamic half of the correctness tooling (the static
 // half is tools/lint/): when enabled, the core data structures re-verify
-// their own invariants after every mutation — heap property and handle-index
-// consistency in EventQueue, sort order and compensated-load agreement in
-// Runqueue, clock monotonicity in Simulation, queue/bandwidth consistency in
-// CpuSched. Auditing only *reads* simulator state, so an audited run
-// produces byte-identical output to an unaudited one — just slower (every
-// hook is a full O(n) structure scan).
+// their own invariants after every mutation — heap order and back-pointers
+// of the one dispatch heap of timers and events in EventQueue, sort order
+// and compensated-load agreement in Runqueue, clock monotonicity in
+// Simulation, queue/bandwidth consistency in CpuSched. Auditing only *reads*
+// simulator state, so an audited run produces byte-identical output to an
+// unaudited one — just slower (every hook is a full O(n) structure scan).
 //
 // Enablement is a process-wide runtime switch: the VSCHED_AUDIT environment
 // variable (any value but "0"), audit::SetEnabled(true), or vsched_run

@@ -15,7 +15,7 @@
 namespace vsched {
 
 struct PerfCounters {
-  // Event-queue traffic.
+  // One-shot event traffic on the dispatch heap (src/sim/event_queue.h).
   uint64_t events_scheduled = 0;
   uint64_t events_executed = 0;
   uint64_t events_cancelled = 0;
@@ -30,12 +30,12 @@ struct PerfCounters {
   uint64_t rq_dequeues = 0;
   uint64_t rq_picks = 0;
 
-  // Timer-band traffic (see src/sim/timer_wheel.h). A re-arm of an armed
-  // timer counts as a cancel and an arm.
+  // Registered-timer traffic on the same heap. A re-arm of an armed timer
+  // counts as a cancel and an arm.
   uint64_t timer_arms = 0;
   uint64_t timer_fires = 0;
   uint64_t timer_cancels = 0;
-  // Always 0: the band is one heap and has no wheel levels to cascade. Kept
+  // Always 0: timers sit on one heap and have no wheel levels to cascade. Kept
   // because perfbench reads and reports it (`sim.timer_cascades`).
   uint64_t timer_cascades = 0;
 

@@ -26,6 +26,15 @@ ThreadPool::~ThreadPool() {
   for (std::thread& worker : workers_) {
     worker.join();
   }
+  DropSpent();
+}
+
+void ThreadPool::DropSpent() {
+  std::vector<std::function<void()>> spent;
+  {
+    std::lock_guard<std::mutex> lock(spent_mu_);
+    spent.swap(spent_);
+  }
 }
 
 void ThreadPool::Push(std::function<void()> fn) {
@@ -79,6 +88,8 @@ void ThreadPool::WorkerLoop(size_t self) {
     while (!Take(self, task)) {
     }
     task();
+    std::lock_guard<std::mutex> lock(spent_mu_);
+    spent_.push_back(std::move(task));
   }
 }
 

@@ -43,6 +43,7 @@ class ThreadPool {
     using R = std::invoke_result_t<Fn&>;
     auto task = std::make_shared<std::packaged_task<R()>>(std::forward<Fn>(fn));
     std::future<R> future = task->get_future();
+    DropSpent();
     Push([task] { (*task)(); });
     return future;
   }
@@ -54,6 +55,8 @@ class ThreadPool {
   };
 
   void Push(std::function<void()> fn);
+  // Destroys the tasks the workers have finished, on the calling thread.
+  void DropSpent();
   // Pops from shard `self`'s front, else steals from another shard's back.
   bool Take(size_t self, std::function<void()>& out);
   void WorkerLoop(size_t self);
@@ -69,6 +72,15 @@ class ThreadPool {
   std::condition_variable work_cv_;
   size_t pending_ = 0;
   bool stopping_ = false;
+
+  // Finished tasks, destroyed by the submitting thread (Submit,
+  // ~ThreadPool) and never by a worker. A task owns its future's shared
+  // state and with it any stored exception, so a worker that dropped the
+  // last reference would free an exception the caller may still be reading:
+  // libstdc++ orders that release with refcount atomics that ThreadSanitizer
+  // does not see.
+  std::mutex spent_mu_;
+  std::vector<std::function<void()>> spent_;
 };
 
 }  // namespace vsched

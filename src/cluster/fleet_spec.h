@@ -123,8 +123,8 @@ struct FleetSpec {
 
   // ---- Sharded execution (vsched_run --fleet --shards=N) ----
   // Hosts are grouped into fixed cells of this many contiguous hosts; each
-  // cell is one logical process of the PDES engine (own event queue, timer
-  // wheel, RNG) and one migration domain — consolidation drains within a
+  // cell is one logical process of the PDES engine (own dispatch heap and
+  // RNG) and one migration domain — consolidation drains within a
   // cell, mirroring rack-locality constraints real placement respects.
   // Deliberately part of the *spec*, not the CLI: the partition must not
   // depend on --shards, or output could not be byte-identical across shard

@@ -13,7 +13,7 @@
 //
 // Partitioning. Hosts are grouped into fixed *cells* of
 // FleetSpec::cell_hosts contiguous hosts. Each cell is one logical process:
-// it owns a private Simulation (event queue, timer wheel, RNG stream) plus
+// it owns a private Simulation (dispatch heap, RNG stream) plus
 // every entity pinned to its hosts — VM stacks, probes, workload apps, fault
 // injectors. A cell is also the migration domain: consolidation drains VMs
 // within a cell only (rack locality), which is what keeps a live-migrating

@@ -20,8 +20,8 @@
 #include "src/guest/guest_topology.h"
 #include "src/guest/guest_vcpu.h"
 #include "src/guest/task.h"
+#include "src/sim/event_queue.h"
 #include "src/sim/rng.h"
-#include "src/sim/timer_wheel.h"
 #include "src/stats/stats.h"
 
 namespace vsched {
@@ -331,8 +331,8 @@ class GuestKernel {
   CpuMask idle_;            // GuestVcpu::IsIdle()
   CpuMask running_normal_;  // current task is normal
 
-  // One registered wheel timer per vCPU, re-armed in place every period.
-  // (This replaces a vector of per-firing heap EventIds, which kept stale
+  // One registered timer per vCPU, re-armed in place every period.
+  // (This replaces a vector of per-firing one-shot EventIds, which kept stale
   // cancelled handles alive for the VM lifetime; a TimerId is a stable slot
   // that re-arming reclaims.) tick_origins_ pins each vCPU's tick grid so a
   // NOHZ-stopped tick resumes on exactly the phase it would have kept.

@@ -19,7 +19,7 @@
 #include "src/guest/runqueue.h"
 #include "src/guest/task.h"
 #include "src/host/vcpu_thread.h"
-#include "src/sim/timer_wheel.h"
+#include "src/sim/event_queue.h"
 
 namespace vsched {
 
@@ -104,10 +104,10 @@ class GuestVcpu : public VcpuHostClient {
   Runqueue rq_;
   Task* current_ = nullptr;
 
-  // Execution segment state. The burst-completion deadline is a wheel timer
+  // Execution segment state. The burst-completion deadline is a timer
   // registered once per vCPU and re-armed on every segment open: segments
-  // open/close on every context switch and host preemption, which as heap
-  // events made this one of the queue's hottest cancel/re-post pairs.
+  // open/close on every context switch and host preemption, which as
+  // one-shot events made this one of the queue's hottest cancel/re-post pairs.
   bool segment_open_ = false;
   TimeNs segment_start_ = 0;
   double segment_speed_ = 0;

@@ -16,8 +16,8 @@
 #include "src/base/time.h"
 #include "src/host/host_entity.h"
 #include "src/host/topology.h"
+#include "src/sim/event_queue.h"
 #include "src/sim/rng.h"
-#include "src/sim/timer_wheel.h"
 
 namespace vsched {
 
@@ -113,9 +113,9 @@ class CpuSched {
   Rng rng_;
   TimeNs current_since_ = 0;   // when current_ started this stint
   TimeNs last_runtime_sync_ = 0;
-  // Slice-end and bandwidth-throttle deadlines are band timers registered
-  // once and re-armed in place: both are cancelled/re-armed on every
-  // dispatch, which as heap events made them the queue's dominant churn
+  // Slice-end and bandwidth-throttle deadlines are timers registered once
+  // and re-armed in place: both are cancelled/re-armed on every dispatch,
+  // which as one-shot events made them the queue's dominant churn
   // (fresh closure + O(log n) sift per context switch). The throttle timer
   // is shared: a throttle deadline only ever exists for current_.
   TimerId slice_timer_ = kInvalidTimerId;

@@ -12,7 +12,7 @@
 #include <string>
 
 #include "src/base/time.h"
-#include "src/sim/timer_wheel.h"
+#include "src/sim/event_queue.h"
 
 namespace vsched {
 

@@ -118,7 +118,7 @@ void PairProbe::OnRunChange(int cpu) {
     return;
   }
   // A change that lands on a sample instant comes after that sample iff
-  // the sample timer's band position has already passed.
+  // the sample timer's position at that instant has already passed.
   const TimeNs now = sim_->now();
   Replay(sim_->TimerStillFiresAt(sample_timer_, now) ? now : now + 1);
   a_running_ = a_running;

@@ -29,7 +29,7 @@
 #include "src/guest/guest_kernel.h"
 #include "src/guest/task.h"
 #include "src/probe/robust.h"
-#include "src/sim/timer_wheel.h"
+#include "src/sim/event_queue.h"
 
 namespace vsched {
 
@@ -81,7 +81,7 @@ class PairProbe : public RunChangeWatcher {
   // probe earlier is safe (the kernel adopts the spin behaviors until their
   // tasks exit), but Vtop sweeps probes only at this point: destruction
   // frees the sample timer's id for reuse, and reuse order is part of the
-  // timer band order.
+  // timers' dispatch order.
   bool CanDestroy() const;
 
   // RunChangeWatcher:
@@ -137,7 +137,7 @@ class PairProbe : public RunChangeWatcher {
   bool a_running_ = false;
   bool b_running_ = false;
   // Registered once and re-armed in place (Plan). Registering it in the
-  // constructor keeps every other timer's id, and so the band order,
+  // constructor keeps every other timer's id, and so the dispatch order,
   // independent of how often it fires.
   TimerId sample_timer_ = kInvalidTimerId;
 

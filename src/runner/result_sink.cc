@@ -98,8 +98,8 @@ std::string ResultRowJson(const RunResult& result, bool include_timing) {
     row += ",\"events\":" + std::to_string(c.events_executed);
     row += ",\"events_per_sec\":" +
            JsonNumber(secs > 0 ? static_cast<double>(c.events_executed) / secs : 0);
-    // The run loop dispatches heap events and band timers alike; the timer
-    // band is usually the larger share.
+    // The run loop dispatches one-shot events and timers alike; timers are
+    // usually the larger share.
     row += ",\"timer_fires\":" + std::to_string(c.timer_fires);
     row += ",\"dispatches\":" + std::to_string(c.events_executed + c.timer_fires);
     row += ",\"events_cancelled\":" + std::to_string(c.events_cancelled);

@@ -1,5 +1,6 @@
 #include "src/sim/event_queue.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "src/base/audit.h"
@@ -9,162 +10,251 @@ namespace vsched {
 
 namespace {
 
-inline uint64_t PackId(uint32_t index, uint32_t generation) {
-  return (static_cast<uint64_t>(index) + 1) << 32 | generation;
+inline uint64_t PackId(uint32_t slot, uint32_t generation) {
+  return (static_cast<uint64_t>(slot) + 1) << 32 | generation;
 }
-
-inline uint32_t IdIndex(uint64_t raw) { return static_cast<uint32_t>(raw >> 32) - 1; }
+inline uint32_t IdSlot(uint64_t raw) { return static_cast<uint32_t>(raw >> 32) - 1; }
 inline uint32_t IdGeneration(uint64_t raw) { return static_cast<uint32_t>(raw); }
 
 }  // namespace
 
 void EventQueue::AuditVerify() const {
-  const uint32_t capacity = static_cast<uint32_t>(slabs_.size()) * kSlabSize;
-  const size_t n = heap_.size();
-  // Heap slots: 4-ary ordering, in-range node indices, back-pointer
-  // agreement, and strictly increasing-unique sequence numbers.
-  std::vector<char> on_heap(capacity, 0);
-  for (size_t pos = 0; pos < n; ++pos) {
-    const HeapSlot& slot = heap_[pos];
-    if (pos > 0) {
-      VSCHED_AUDIT_CHECK(!Before(slot, heap_[(pos - 1) / 4]),
-                         "event heap: child orders before its parent");
-    }
-    VSCHED_AUDIT_CHECK(slot.node < capacity, "event heap: node index out of slab range");
-    if (slot.node >= capacity) {
-      continue;  // The remaining per-node checks would read out of bounds.
-    }
-    VSCHED_AUDIT_CHECK(!on_heap[slot.node], "event heap: node referenced twice");
-    on_heap[slot.node] = 1;
-    VSCHED_AUDIT_CHECK(NodeAt(slot.node).heap_pos == static_cast<int32_t>(pos),
-                       "event heap: node heap_pos disagrees with its slot");
-    VSCHED_AUDIT_CHECK(slot.seq < next_seq_, "event heap: seq from the future");
-    VSCHED_AUDIT_CHECK(slot.when >= now_, "event heap: pending event in the past");
+  if (!audit::Enabled()) {
+    return;
   }
-  // Free list: disjoint from the heap, marked off-heap, no duplicates.
-  std::vector<char> on_free(capacity, 0);
-  for (uint32_t index : free_) {
-    VSCHED_AUDIT_CHECK(index < capacity, "event free list: index out of slab range");
-    if (index >= capacity) {
+  // Entries: heap order, in the future, naming a live timer or slot, and
+  // found by their back-pointers.
+  const uint32_t capacity = Capacity();
+  for (size_t i = 0; i < heap_.size(); ++i) {
+    const Entry& e = heap_[i];
+    VSCHED_AUDIT_CHECK(i == 0 || !Before(e, heap_[(i - 1) / kArity]),
+                       "dispatch heap: child orders before its parent");
+    VSCHED_AUDIT_CHECK(e.when >= now_, "dispatch heap: pending entry precedes now()");
+    const uint64_t slot_or_id = e.key & kSlotMask;
+    if (e.key < kEventKind) {
+      const bool registered =
+          e.key != kInvalidTimerId && e.key <= timers_.size() && timers_[slot_or_id - 1];
+      VSCHED_AUDIT_CHECK(registered, "dispatch heap: timer entry names an unregistered timer");
+      if (!registered) {
+        continue;
+      }
+    } else {
+      VSCHED_AUDIT_CHECK(slot_or_id < capacity, "dispatch heap: event slot out of slab range");
+      VSCHED_AUDIT_CHECK((e.key & ~kEventKind) >> kSlotBits < next_seq_,
+                         "dispatch heap: event sequence number from the future");
+      if (slot_or_id >= capacity) {
+        continue;  // the back-pointer check would read out of bounds
+      }
+    }
+    VSCHED_AUDIT_CHECK(pos_[Cell(e.key)] == i,
+                       "dispatch heap: back-pointer disagrees with its entry");
+  }
+  // Cells: each that claims a position finds its entry there, and they add
+  // up to the pending counts.
+  size_t seen[2] = {0, 0};  // timers, events
+  for (size_t cell = 0; cell < pos_.size(); ++cell) {
+    const uint32_t pos = pos_[cell];
+    if (pos == kNoPos) {
       continue;
     }
-    VSCHED_AUDIT_CHECK(!on_free[index], "event free list: index listed twice");
-    on_free[index] = 1;
-    VSCHED_AUDIT_CHECK(!on_heap[index], "event free list: index also live on the heap");
-    VSCHED_AUDIT_CHECK(NodeAt(index).heap_pos == -1,
-                       "event free list: node still claims a heap position");
+    ++seen[cell & 1];
+    VSCHED_AUDIT_CHECK(pos < heap_.size() && Cell(heap_[pos].key) == cell,
+                       "dispatch heap: back-pointer names no entry");
   }
-}
-
-uint32_t EventQueue::AllocNode() {
-  if (free_.empty()) {
-    uint32_t base = static_cast<uint32_t>(slabs_.size()) * kSlabSize;
-    slabs_.push_back(std::make_unique<Slab>());
-    ++counters_->event_slab_allocs;
-    // Push in reverse so the lowest new index is handed out first.
-    for (uint32_t i = kSlabSize; i-- > 0;) {
-      free_.push_back(base + i);
+  VSCHED_AUDIT_CHECK(seen[0] == ArmedCount(), "dispatch heap: armed count out of sync");
+  VSCHED_AUDIT_CHECK(seen[1] == pending_events_, "dispatch heap: pending count out of sync");
+  // Free list: in range, no duplicates, and off the heap.
+  std::vector<char> on_free(capacity, 0);
+  for (uint32_t slot : free_) {
+    VSCHED_AUDIT_CHECK(slot < capacity, "event free list: slot out of slab range");
+    if (slot >= capacity) {
+      continue;
     }
+    VSCHED_AUDIT_CHECK(!on_free[slot], "event free list: slot listed twice");
+    on_free[slot] = 1;
+    VSCHED_AUDIT_CHECK(pos_[2 * size_t{slot} + 1] == kNoPos,
+                       "event free list: slot also live on the heap");
   }
-  uint32_t index = free_.back();
-  free_.pop_back();
-  return index;
 }
 
-void EventQueue::ReleaseNode(uint32_t index) {
-  Node& node = NodeAt(index);
-  node.heap_pos = -1;
-  ++node.generation;  // stale EventIds now miss
-  free_.push_back(index);
-}
-
-void EventQueue::SiftUp(size_t pos) {
-  HeapSlot slot = heap_[pos];
+void EventQueue::SiftUp(size_t pos, Entry e) {
   while (pos > 0) {
-    size_t parent = (pos - 1) / 4;
-    if (!Before(slot, heap_[parent])) {
+    const size_t parent = (pos - 1) / kArity;
+    if (!Before(e, heap_[parent])) {
       break;
     }
     Place(pos, heap_[parent]);
     pos = parent;
   }
-  Place(pos, slot);
+  Place(pos, e);
 }
 
-void EventQueue::SiftDown(size_t pos) {
-  HeapSlot slot = heap_[pos];
-  const size_t n = heap_.size();
+void EventQueue::SiftDown(size_t pos, Entry e) {
+  const size_t size = heap_.size();
   for (;;) {
-    size_t first_child = pos * 4 + 1;
-    if (first_child >= n) {
+    const size_t first = pos * kArity + 1;
+    if (first >= size) {
       break;
     }
-    size_t best = first_child;
-    size_t last_child = first_child + 4 < n ? first_child + 4 : n;
-    for (size_t c = first_child + 1; c < last_child; ++c) {
+    const size_t last = std::min(first + kArity, size);
+    size_t best = first;
+    for (size_t c = first + 1; c < last; ++c) {
       if (Before(heap_[c], heap_[best])) {
         best = c;
       }
     }
-    if (!Before(heap_[best], slot)) {
+    if (!Before(heap_[best], e)) {
       break;
     }
     Place(pos, heap_[best]);
     pos = best;
   }
-  Place(pos, slot);
+  Place(pos, e);
 }
 
 void EventQueue::RemoveAt(size_t pos) {
-  size_t last = heap_.size() - 1;
-  if (pos != last) {
-    Place(pos, heap_[last]);
-  }
+  pos_[Cell(heap_[pos].key)] = kNoPos;
+  const Entry tail = heap_.back();
   heap_.pop_back();
-  if (pos < heap_.size()) {
-    // The relocated slot may belong either direction from `pos`.
-    SiftDown(pos);
-    SiftUp(pos);
+  if (pos == heap_.size()) {
+    return;  // the tail itself was removed
+  }
+  if (pos > 0 && Before(tail, heap_[(pos - 1) / kArity])) {
+    SiftUp(pos, tail);
+  } else {
+    SiftDown(pos, tail);
   }
 }
 
 uint32_t EventQueue::BeginSchedule(TimeNs when) {
   VSCHED_CHECK_MSG(when >= now_, "cannot schedule an event in the past");
-  return AllocNode();
+  if (free_.empty()) {
+    const uint32_t base = Capacity();
+    VSCHED_CHECK_MSG(base + kSlabSize - 1 <= kSlotMask, "too many events for the slot key");
+    slabs_.push_back(std::make_unique<Slab>());
+    pos_.resize(std::max(pos_.size(), 2 * size_t{base + kSlabSize}), kNoPos);
+    ++counters_->event_slab_allocs;
+    // Push in reverse so the lowest new slot is handed out first.
+    for (uint32_t i = kSlabSize; i-- > 0;) {
+      free_.push_back(base + i);
+    }
+  }
+  const uint32_t slot = free_.back();
+  free_.pop_back();
+  return slot;
 }
 
-EventId EventQueue::FinishSchedule(TimeNs when, uint32_t index) {
-  Node& node = NodeAt(index);
-  heap_.push_back(HeapSlot{when, next_seq_++, index});
-  node.heap_pos = static_cast<int32_t>(heap_.size() - 1);
-  SiftUp(heap_.size() - 1);
+EventId EventQueue::FinishSchedule(TimeNs when, uint32_t slot) {
+  VSCHED_CHECK_MSG(next_seq_ < kSeqLimit, "event sequence numbers exhausted");
+  heap_.emplace_back();
+  SiftUp(heap_.size() - 1, Entry{when, kEventKind | next_seq_++ << kSlotBits | slot});
+  ++pending_events_;
   ++counters_->events_scheduled;
   if (audit::Enabled()) {
     AuditVerify();
   }
-  return EventId(PackId(index, node.generation));
+  return EventId(PackId(slot, NodeAt(slot).generation));
+}
+
+void EventQueue::ReleaseNode(uint32_t slot) {
+  Node& node = NodeAt(slot);
+  node.fn = EventCallback();
+  ++node.generation;  // stale EventIds now miss
+  free_.push_back(slot);
 }
 
 bool EventQueue::Cancel(EventId id) {
   if (!id.valid()) {
     return false;
   }
-  uint32_t index = IdIndex(id.raw_);
-  if (index >= slabs_.size() * kSlabSize) {
+  const uint32_t slot = IdSlot(id.raw_);
+  if (slot >= Capacity()) {
     return false;
   }
-  Node& node = NodeAt(index);
-  if (node.heap_pos < 0 || node.generation != IdGeneration(id.raw_)) {
+  const uint32_t pos = pos_[2 * size_t{slot} + 1];
+  if (pos == kNoPos || NodeAt(slot).generation != IdGeneration(id.raw_)) {
     return false;
   }
-  RemoveAt(static_cast<size_t>(node.heap_pos));
-  node.fn = EventCallback();
-  ReleaseNode(index);
+  RemoveAt(pos);
+  --pending_events_;
+  ReleaseNode(slot);
   ++counters_->events_cancelled;
   if (audit::Enabled()) {
     AuditVerify();
   }
   return true;
+}
+
+void EventQueue::CheckId(TimerId id) const {
+  VSCHED_CHECK(id != kInvalidTimerId && id <= timers_.size());
+}
+
+TimerId EventQueue::Register(EventCallback fn) {
+  VSCHED_CHECK(fn);
+  TimerId id;
+  if (!free_ids_.empty()) {
+    id = free_ids_.back();
+    free_ids_.pop_back();
+  } else {
+    timers_.emplace_back();
+    id = static_cast<TimerId>(timers_.size());
+    VSCHED_CHECK_MSG(id <= kSlotMask, "too many timers for the slot key");
+    pos_.resize(std::max(pos_.size(), 2 * size_t{id} + 1), kNoPos);
+  }
+  timers_[id - 1] = std::move(fn);
+  return id;
+}
+
+void EventQueue::Unregister(TimerId id) {
+  CheckId(id);
+  VSCHED_CHECK_MSG(timers_[id - 1], "unregistering a timer twice");
+  Cancel(id);
+  timers_[id - 1] = EventCallback();
+  free_ids_.push_back(id);
+}
+
+void EventQueue::Arm(TimerId id, TimeNs when) {
+  CheckId(id);
+  VSCHED_CHECK_MSG(timers_[id - 1], "arming an unregistered timer");
+  VSCHED_CHECK_MSG(when >= now_ && when < kTimeInfinity, "cannot arm a timer in the past");
+  ++counters_->timer_arms;
+  const Entry e{when, id};
+  const uint32_t pos = pos_[2 * size_t{id}];
+  if (pos == kNoPos) {
+    heap_.emplace_back();
+    SiftUp(heap_.size() - 1, e);
+    return;
+  }
+  // A re-arm replaces the pending deadline: it counts as a cancel and an
+  // arm (see PerfCounters), and the entry is re-keyed in place.
+  ++counters_->timer_cancels;
+  if (Before(e, heap_[pos])) {
+    SiftUp(pos, e);
+  } else {
+    SiftDown(pos, e);
+  }
+}
+
+bool EventQueue::Cancel(TimerId id) {
+  CheckId(id);
+  const uint32_t pos = pos_[2 * size_t{id}];
+  if (pos == kNoPos) {
+    return false;
+  }
+  RemoveAt(pos);
+  ++counters_->timer_cancels;
+  return true;
+}
+
+bool EventQueue::IsArmed(TimerId id) const {
+  CheckId(id);
+  return pos_[2 * size_t{id}] != kNoPos;
+}
+
+TimeNs EventQueue::ArmedAt(TimerId id) const {
+  CheckId(id);
+  const uint32_t pos = pos_[2 * size_t{id}];
+  return pos == kNoPos ? kTimeInfinity : heap_[pos].when;
 }
 
 bool EventQueue::RunOne() {
@@ -173,38 +263,50 @@ bool EventQueue::RunOne() {
   }
   if (audit::Enabled()) {
     AuditVerify();
-    VSCHED_AUDIT_CHECK(heap_[0].when >= now_, "event dispatch would move the clock backwards");
+    VSCHED_AUDIT_CHECK(heap_[0].when >= now_, "dispatch would move the clock backwards");
   }
-  HeapSlot top = heap_[0];
-  Node& node = NodeAt(top.node);
+  const Entry top = heap_[0];
   RemoveAt(0);
-  // Off-heap from this point: a Cancel() of the in-flight id (self-cancel
-  // from inside the callback is common) must miss, not remove a bystander.
-  node.heap_pos = -1;
-  VSCHED_CHECK(top.when >= now_);
-  now_ = top.when;
-  ++executed_;
+  if (top.when != now_) {
+    now_ = top.when;
+    high_id_ = kInvalidTimerId;
+  }
+  if (top.key < kEventKind) {
+    // A timer armed for now() after its id's turn fires late, out of id
+    // order; keep the instant's high-water id so StillFiresAt stays exact.
+    const TimerId id = static_cast<TimerId>(top.key);
+    high_id_ = std::max(high_id_, id);
+    ++counters_->timer_fires;
+    // Runs in place from its address-stable slot; may re-arm any timer.
+    timers_[id - 1]();
+    return true;
+  }
+  // Events follow every timer of their instant, so the instant is closed.
+  high_id_ = kClosed;
+  --pending_events_;
   ++counters_->events_executed;
-  // Invoke straight from pool storage — no move-out. The node is off both
-  // the heap and the free list while running, so a callback that schedules
-  // new events cannot clobber it, and Cancel() of the in-flight id is a
-  // clean miss (heap_pos is already -1). Slab storage is stable, so the
-  // reference survives any scheduling the callback does.
-  node.fn();
-  node.fn = EventCallback();
-  ReleaseNode(top.node);
+  // Run in place from pool storage: the node is off the heap and the free
+  // list, so posts from the callback cannot clobber it, and a Cancel() of
+  // the in-flight id (a self-cancel is common) is a clean miss.
+  const uint32_t slot = static_cast<uint32_t>(top.key & kSlotMask);
+  NodeAt(slot).fn();
+  ReleaseNode(slot);
   return true;
 }
 
+void EventQueue::RunOne(TimeNs when) {
+  VSCHED_CHECK_MSG(NextEventTime() == when, "EventQueue::RunOne deadline mismatch");
+  RunOne();
+}
+
 void EventQueue::RunUntil(TimeNs deadline) {
-  while (!heap_.empty() && heap_[0].when <= deadline) {
+  while (NextEventTime() <= deadline) {
     RunOne();
   }
-  if (deadline > now_) {
+  if (deadline >= now_) {
     now_ = deadline;
+    high_id_ = kClosed;  // everything due at `deadline` has run
   }
-  VSCHED_AUDIT_CHECK(heap_.empty() || heap_[0].when > deadline,
-                     "RunUntil left a due event pending");
 }
 
 }  // namespace vsched

@@ -1,19 +1,13 @@
-// Top-level simulation context: clock + event queue + timer band + root RNG.
+// Top-level simulation context: clock + dispatch heap + root RNG.
 //
 // Every simulated component (host scheduler, guest kernel, workloads,
-// probers) holds a Simulation* and schedules its activity through it.
-//
-// Two timer backends share the clock (see docs/PERF.md, "The timer band"):
-//  - the 4-ary event queue (At/After) for one-shot closures — IPIs, timed
-//    wakes, probe windows, fault and adversary actions;
-//  - the timer band (CreateTimer/ArmTimerAt), registered timers re-armed in
-//    place — scheduler ticks, host slices and refills, burst completions,
-//    probe chunks, request arrivals.
-// The run loop drains them in lockstep; at equal timestamps the timer band
-// fires before heap events, and within the band timers fire in (deadline,
-// TimerId) order. Both orderings are history-independent, which is what
-// lets tickless elision skip firings without perturbing any neighbouring
-// event (the byte-identical-JSONL contract).
+// probers) holds a Simulation* and schedules through it: one-shot closures
+// with At/After, and registered timers, re-armed in place, with
+// CreateTimer/ArmTimerAt. Both share one EventQueue, which fires timers
+// before closures at equal timestamps, timers in TimerId order and closures
+// in post order. That order is history-independent, which is what lets
+// tickless elision skip firings without perturbing any neighbouring event
+// (the byte-identical-JSONL contract; docs/PERF.md, "The dispatch heap").
 #ifndef SRC_SIM_SIMULATION_H_
 #define SRC_SIM_SIMULATION_H_
 
@@ -27,7 +21,6 @@
 #include "src/base/time.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/rng.h"
-#include "src/sim/timer_wheel.h"
 
 namespace vsched {
 
@@ -52,7 +45,6 @@ class Simulation {
 
   TimeNs now() const { return queue_.now(); }
   EventQueue& queue() { return queue_; }
-  TimerWheel& wheel() { return wheel_; }
   Rng& rng() { return rng_; }
 
   // Derives an independent RNG stream for a component.
@@ -68,46 +60,32 @@ class Simulation {
   }
   bool Cancel(EventId id) { return queue_.Cancel(id); }
 
-  // --- timer band -----------------------------------------------------------
+  // --- timers ---------------------------------------------------------------
   // A timer is a registered slot with a fixed callback, re-armed in place:
   // the natural shape for periodic work (no per-firing allocation, no stale
   // handle growth). Ids are stable until DestroyTimer.
 
   template <typename F>
   TimerId CreateTimer(F&& fn) {
-    return wheel_.Register(EventCallback(std::forward<F>(fn)));
+    return queue_.Register(EventCallback(std::forward<F>(fn)));
   }
-  void DestroyTimer(TimerId id) { wheel_.Unregister(id); }
+  void DestroyTimer(TimerId id) { queue_.Unregister(id); }
 
-  void ArmTimerAt(TimerId id, TimeNs when) {
-    VSCHED_CHECK_MSG(when >= now(), "cannot arm a timer in the past");
-    wheel_.Arm(id, when);
-  }
+  void ArmTimerAt(TimerId id, TimeNs when) { queue_.Arm(id, when); }
   void ArmTimerAfter(TimerId id, TimeNs delay) { ArmTimerAt(id, now() + delay); }
-  bool CancelTimer(TimerId id) { return wheel_.Cancel(id); }
-  bool TimerArmed(TimerId id) const { return wheel_.IsArmed(id); }
+  bool CancelTimer(TimerId id) { return queue_.Cancel(id); }
+  bool TimerArmed(TimerId id) const { return queue_.IsArmed(id); }
 
-  // True if a band timer `id` armed *right now* for deadline `when` ==
-  // now() would still fire at this instant, i.e. the current timestamp's
-  // timer band has not yet passed the timer's (when, id) position, the
-  // heap phase has not begun, and no RunUntil has already returned at this
-  // instant. Tickless re-arm logic uses this to decide whether an elided
-  // periodic timer can still fire in its natural band position this
-  // instant; the vtop pair probe uses it to place a run change that lands
-  // on a sample instant before or after that sample.
-  bool TimerStillFiresAt(TimerId id, TimeNs when) const {
-    if (when > now()) {
-      return true;
-    }
-    if (band_closed_at_ == when) {
-      return false;
-    }
-    return wheel_.StillFiresAt(id, when);
-  }
+  // True if timer `id` armed right now for `when` >= now() would still fire
+  // at `when` (EventQueue::StillFiresAt). Tickless re-arms use it to decide
+  // whether an elided periodic timer still fires in its natural position
+  // this instant; the vtop pair probe uses it to place a run change that
+  // lands on a sample instant before or after that sample.
+  bool TimerStillFiresAt(TimerId id, TimeNs when) const { return queue_.StillFiresAt(id, when); }
 
   // Next firing time on the grid {origin + k*period, k >= 0} for a periodic
-  // band timer being re-armed at now(): now() itself when now() sits on the
-  // grid and the timer's band position this instant has not yet passed,
+  // timer being re-armed at now(): now() itself when now() sits on the
+  // grid and the timer's position this instant has not yet passed,
   // otherwise the next strictly-future grid point. This is what keeps an
   // elided-then-resumed periodic timer bit-identical to one that never
   // stopped. Requires now() >= origin.
@@ -136,13 +114,7 @@ class Simulation {
 
  private:
   EventQueue queue_;
-  TimerWheel wheel_;
   Rng rng_;
-  // An instant whose timer band is closed (see TimerStillFiresAt): set when
-  // a heap event dispatches, since the heap phase follows the band, and
-  // when RunUntil returns, since every timer due at its deadline has fired.
-  // Code that runs between RunUntil calls acts after that band.
-  TimeNs band_closed_at_ = -1;
   uint64_t event_budget_ = 0;
   uint64_t events_dispatched_ = 0;
 };

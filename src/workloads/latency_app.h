@@ -15,8 +15,8 @@
 
 #include "src/guest/cpumask.h"
 #include "src/guest/task.h"
+#include "src/sim/event_queue.h"
 #include "src/sim/rng.h"
-#include "src/sim/timer_wheel.h"
 #include "src/stats/stats.h"
 #include "src/workloads/workload.h"
 
@@ -98,8 +98,8 @@ class LatencyApp : public Workload {
   uint64_t completed_at_last_report_ = 0;
   TimeNs measure_start_ = 0;
   // Open-loop arrivals and live-throughput reports both re-post themselves
-  // for the app's whole life: wheel timers re-armed in place, not fresh heap
-  // events (a fleet runs thousands of these generators concurrently).
+  // for the app's whole life: registered timers re-armed in place, not fresh
+  // one-shot events (a fleet runs thousands of these generators concurrently).
   TimerId arrival_timer_ = kInvalidTimerId;
   TimerId report_timer_ = kInvalidTimerId;
 

@@ -30,7 +30,6 @@
 #include "src/probe/vcap.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/simulation.h"
-#include "src/sim/timer_wheel.h"
 #include "tests/guest/test_behaviors.h"
 
 namespace vsched {
@@ -39,26 +38,50 @@ namespace vsched {
 // struct a friend precisely so these tests can break invariants that the
 // public API makes unreachable.
 struct AuditTestAccess {
-  // Swaps the heap root with the last slot, repairing the heap_pos
-  // back-pointers so that *only* the ordering invariant is violated.
+  // ---- EventQueue backdoors: timers and one-shot events share the heap ----
+
+  // Swaps the heap root with the last entry, repairing both back-pointers
+  // so that *only* the ordering invariant is violated.
   static void BreakHeapOrder(EventQueue& q) {
     ASSERT_GE(q.heap_.size(), 2u);
-    size_t last = q.heap_.size() - 1;
-    std::swap(q.heap_[0], q.heap_[last]);
-    q.NodeAt(q.heap_[0].node).heap_pos = 0;
-    q.NodeAt(q.heap_[last].node).heap_pos = static_cast<int32_t>(last);
+    std::swap(q.heap_.front(), q.heap_.back());
+    q.pos_[EventQueue::Cell(q.heap_.front().key)] = 0;
+    q.pos_[EventQueue::Cell(q.heap_.back().key)] = static_cast<uint32_t>(q.heap_.size() - 1);
   }
 
+  // Points the root entry's back-pointer past it.
   static void BreakBackPointer(EventQueue& q) {
     ASSERT_FALSE(q.heap_.empty());
-    q.NodeAt(q.heap_[0].node).heap_pos = 1 << 20;
+    q.pos_[EventQueue::Cell(q.heap_.front().key)] += 7;
   }
 
-  // Pushes a live node onto the free list: the slot is now both pending and
-  // recyclable — the double-use bug generation tags exist to prevent.
+  // Pushes the root event's slot onto the free list: the slot is now both
+  // pending and recyclable — the double-use bug generation tags exist to
+  // prevent.
   static void CorruptFreeList(EventQueue& q) {
     ASSERT_FALSE(q.heap_.empty());
-    q.free_.push_back(q.heap_[0].node);
+    ASSERT_GE(q.heap_.front().key, EventQueue::kEventKind) << "the root is not an event";
+    q.free_.push_back(static_cast<uint32_t>(q.heap_.front().key & EventQueue::kSlotMask));
+  }
+
+  // Drops the heap's last entry without clearing its back-pointer: the
+  // entry still reads as pending but can never fire.
+  static void LoseEntry(EventQueue& q) {
+    ASSERT_FALSE(q.heap_.empty()) << "no entry to lose";
+    q.heap_.pop_back();
+  }
+
+  // Moves the clock past the root entry (monotone dispatch violation).
+  static void MoveClockPastRoot(EventQueue& q) {
+    ASSERT_FALSE(q.heap_.empty()) << "no entry to pass";
+    q.now_ = q.heap_.front().when + 1;
+  }
+
+  // Relabels `victim`'s heap entry with `other`'s id: the entry names the
+  // wrong timer, and `victim`'s back-pointer no longer finds its entry.
+  static void RelabelTimer(EventQueue& q, TimerId victim, TimerId other) {
+    ASSERT_TRUE(q.IsArmed(victim));
+    q.heap_[q.pos_[2 * size_t{victim}]].key = other;
   }
 
   static void SkewLoad(Runqueue& rq, double delta) { rq.load_ += delta; }
@@ -66,45 +89,6 @@ struct AuditTestAccess {
   static void BreakSortOrder(Runqueue& rq) {
     ASSERT_GE(rq.normal_.size(), 2u);
     std::swap(rq.normal_.front(), rq.normal_.back());
-  }
-
-  // ---- TimerWheel backdoors ----
-
-  // Points an armed timer's position entry past its heap node.
-  static void BreakWheelBackPointer(TimerWheel& w) {
-    ASSERT_FALSE(w.heap_.empty()) << "no armed timer to corrupt";
-    w.pos_[w.heap_.front().id] += 7;
-  }
-
-  // Drops a heap node without clearing its timer's position entry: the
-  // timer still reads as armed but can never fire.
-  static void LoseWheelTimer(TimerWheel& w) {
-    ASSERT_FALSE(w.heap_.empty()) << "no armed timer to corrupt";
-    w.heap_.pop_back();
-  }
-
-  // Pretends dispatch already passed an armed timer's deadline (monotone
-  // dispatch violation).
-  static void BreakWheelMonotoneDispatch(TimerWheel& w) {
-    ASSERT_FALSE(w.heap_.empty()) << "no armed timer to corrupt";
-    w.fired_any_ = true;
-    w.last_fire_when_ = w.heap_.front().deadline + 1;
-  }
-
-  // Swaps the root with the last node, repairing both position entries so
-  // that only the heap order is violated (requires >= 2 armed timers).
-  static void BreakWheelHeapOrder(TimerWheel& w) {
-    ASSERT_GE(w.heap_.size(), 2u);
-    std::swap(w.heap_.front(), w.heap_.back());
-    w.pos_[w.heap_.front().id] = 0;
-    w.pos_[w.heap_.back().id] = static_cast<uint32_t>(w.heap_.size() - 1);
-  }
-
-  // Relabels `victim`'s heap node with `other`'s id: the node names the
-  // wrong timer, and `victim`'s position entry no longer finds its node.
-  static void RelabelWheelNode(TimerWheel& w, TimerId victim, TimerId other) {
-    ASSERT_TRUE(w.IsArmed(victim));
-    w.heap_[w.pos_[victim]].id = other;
   }
 
   // ---- PairProbe backdoor ----
@@ -232,7 +216,7 @@ TEST_F(AuditTest, StaleBackPointerIsCaught) {
   AuditTestAccess::BreakBackPointer(q);
   q.AuditVerify();
   EXPECT_GT(audit::ViolationCount(), 0u);
-  EXPECT_TRUE(AnyViolationContains("heap_pos disagrees"));
+  EXPECT_TRUE(AnyViolationContains("back-pointer disagrees"));
 }
 
 TEST_F(AuditTest, LiveNodeOnFreeListIsCaught) {
@@ -283,12 +267,14 @@ TEST_F(AuditTest, RunqueueSortCorruptionFiresFromThePickHook) {
 
 TEST_F(AuditTest, CleanTimerWheelChurnReportsNothing) {
   // Deadlines armed out of order, cancels, and re-arms both earlier and
-  // later, so every sift path moves nodes; audited after every step.
-  TimerWheel w;
+  // later, with one-shot events among them, so every sift path moves both
+  // kinds; audited after every step.
+  EventQueue w;
   std::vector<TimerId> ids;
   for (int i = 0; i < 32; ++i) {
     ids.push_back(w.Register([] {}));
     w.Arm(ids.back(), ((i * 13) % 32 + 1) * UsToNs(700));
+    w.ScheduleAt(((i * 7) % 32 + 1) * UsToNs(700), [] {});
     w.AuditVerify();
   }
   for (int i = 0; i < 32; i += 3) {
@@ -299,57 +285,52 @@ TEST_F(AuditTest, CleanTimerWheelChurnReportsNothing) {
     w.Arm(ids[static_cast<size_t>(i)], i % 8 == 1 ? UsToNs(100 + i) : MsToNs(50) + i);
     w.AuditVerify();
   }
-  for (;;) {
-    TimeNs next = w.NextDeadlineAtMost(MsToNs(100));
-    if (next == kTimeInfinity) {
-      break;
-    }
-    w.RunOne(next);
+  while (w.RunOne()) {
     w.AuditVerify();
   }
   EXPECT_EQ(w.ArmedCount(), 0u);
+  EXPECT_EQ(w.PendingCount(), 0u);
   EXPECT_EQ(audit::ViolationCount(), 0u);
 }
 
 TEST_F(AuditTest, WheelBackPointerCorruptionIsCaught) {
-  TimerWheel w;
+  EventQueue w;
   w.Arm(w.Register([] {}), MsToNs(5));
-  AuditTestAccess::BreakWheelBackPointer(w);
+  AuditTestAccess::BreakBackPointer(w);
   w.AuditVerify();
   EXPECT_GT(audit::ViolationCount(), 0u);
-  EXPECT_TRUE(AnyViolationContains("position entry disagrees"));
-  EXPECT_TRUE(AnyViolationContains("armed timer missing from the heap"));
+  EXPECT_TRUE(AnyViolationContains("back-pointer disagrees"));
+  EXPECT_TRUE(AnyViolationContains("back-pointer names no entry"));
 }
 
 TEST_F(AuditTest, WheelLostTimerIsCaught) {
-  TimerWheel w;
+  EventQueue w;
   w.Arm(w.Register([] {}), MsToNs(5));
-  AuditTestAccess::LoseWheelTimer(w);
+  AuditTestAccess::LoseEntry(w);
   w.AuditVerify();
   EXPECT_GT(audit::ViolationCount(), 0u);
   EXPECT_TRUE(AnyViolationContains("armed count out of sync"));
-  EXPECT_TRUE(AnyViolationContains("armed timer missing from the heap"));
+  EXPECT_TRUE(AnyViolationContains("back-pointer names no entry"));
 }
 
 TEST_F(AuditTest, WheelMonotoneDispatchViolationIsCaught) {
-  TimerWheel w;
+  EventQueue w;
   w.Arm(w.Register([] {}), MsToNs(5));
-  AuditTestAccess::BreakWheelMonotoneDispatch(w);
+  AuditTestAccess::MoveClockPastRoot(w);
   w.AuditVerify();
   EXPECT_GT(audit::ViolationCount(), 0u);
-  EXPECT_TRUE(AnyViolationContains("precedes the last dispatch"));
+  EXPECT_TRUE(AnyViolationContains("precedes now()"));
 }
 
-// The name predates the heap, which now holds every armed timer.
-TEST_F(AuditTest, WheelReadyOrderCorruptionIsCaught) {
-  TimerWheel w;
+TEST_F(AuditTest, TimerHeapOrderCorruptionIsCaught) {
+  EventQueue w;
   w.Arm(w.Register([] {}), MsToNs(2));
   w.Arm(w.Register([] {}), MsToNs(2) + 100);
-  ASSERT_EQ(w.NextDeadlineAtMost(MsToNs(3)), MsToNs(2));
-  AuditTestAccess::BreakWheelHeapOrder(w);
+  ASSERT_EQ(w.NextEventTime(), MsToNs(2));
+  AuditTestAccess::BreakHeapOrder(w);
   w.AuditVerify();
   EXPECT_GT(audit::ViolationCount(), 0u);
-  EXPECT_TRUE(AnyViolationContains("heap order violated"));
+  EXPECT_TRUE(AnyViolationContains("orders before its parent"));
 }
 
 TEST_F(AuditTest, WheelCorruptionFiresFromTheRunLoopHook) {
@@ -368,13 +349,13 @@ TEST_F(AuditTest, WheelCorruptionFiresFromTheRunLoopHook) {
   sim.ArmTimerAfter(far, MsToNs(200));
   sim.RunFor(MsToNs(1));
   ASSERT_EQ(audit::ViolationCount(), 0u);
-  AuditTestAccess::RelabelWheelNode(sim.wheel(), far, near);
-  // No direct AuditVerify call: the run loop's post-dispatch hook must fire
-  // on the next near-timer dispatch.
+  AuditTestAccess::RelabelTimer(sim.queue(), far, near);
+  // No direct AuditVerify call: the run loop's dispatch hook must fire on
+  // the next near-timer dispatch.
   sim.RunFor(MsToNs(2));
   EXPECT_GT(near_fires, 1);
   EXPECT_GT(audit::ViolationCount(), 0u);
-  EXPECT_TRUE(AnyViolationContains("armed timer missing from the heap"));
+  EXPECT_TRUE(AnyViolationContains("back-pointer names no entry"));
 }
 
 TEST_F(AuditTest, SimulationClockStaysMonotone) {

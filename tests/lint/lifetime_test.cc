@@ -194,7 +194,7 @@ TEST(LintEventLifetime, CoversTimerTickHookAndPeriodicSinks) {
                "void S::Init() {\n  kernel_->AddTickHook([this](GuestVcpu* v, TimeNs now) { OnTick(v, now); });\n}\n"),
       "event-lifetime"));
   EXPECT_TRUE(HasRule(
-      LintFile("src/cluster/a.cc", "void S::Init() {\n  h_ = sim_->Every(period, [this] { Tick(); });\n}\n"),
+      LintFile("src/cluster/a.cc", "void S::Init() {\n  h_ = sim_->At(when, [this] { Tick(); });\n}\n"),
       "event-lifetime"));
   EXPECT_TRUE(HasRule(
       LintFile("src/sim/a.cc", "void S::Init() {\n  q_.ScheduleAt(when, [this] { Fire(); });\n}\n"),
@@ -225,41 +225,6 @@ TEST(LintEventLifetime, ForwardedArgumentsAreNotLambdaLiterals) {
   EXPECT_TRUE(LintFile("src/fault/fault_injector.h", snippet).empty());
 }
 
-// --- PostBatch: a factory sink ----------------------------------------------
-
-TEST(LintEventLifetime, FlagsPostBatchFactoryReturningUntokenedClosure) {
-  // PostBatch invokes the factory synchronously; the closure it *returns* is
-  // what lives on the queue, so the lifetime rules bind to the inner capture
-  // list. Here the inner lambda holds `this` with no liveness token.
-  const std::string snippet =
-      "void Fleet::Start() {\n"
-      "  sim_->queue().PostBatch(arrival_times, [this](size_t i) {\n"
-      "    return [this, i] { OnVmArrival(static_cast<int>(i)); };\n"
-      "  });\n"
-      "}\n";
-  auto f = LintFile("src/cluster/fleet.cc", snippet);
-  ASSERT_TRUE(HasRule(f, "event-lifetime"));
-  EXPECT_EQ(FindRule(f, "event-lifetime")->line, 3);
-}
-
-TEST(LintEventLifetime, PassesPostBatchFactoryWithCheckedTokenInInnerLambda) {
-  // The shipping Fleet::Start shape: the outer factory captures bare `this`,
-  // which is fine — it never outlives the PostBatch call. The returned
-  // closure carries the checked token.
-  const std::string snippet =
-      "void Fleet::Start() {\n"
-      "  sim_->queue().PostBatch(arrival_times, [this](size_t i) {\n"
-      "    return [this, i = static_cast<int>(i), alive = std::weak_ptr<const bool>(alive_)] {\n"
-      "      if (alive.expired()) {\n"
-      "        return;\n"
-      "      }\n"
-      "      OnVmArrival(i);\n"
-      "    };\n"
-      "  });\n"
-      "}\n";
-  EXPECT_TRUE(LintFile("src/cluster/fleet.cc", snippet).empty());
-}
-
 // --- scoping and suppression ------------------------------------------------
 
 TEST(LintEventLifetime, OnlyBindsToSrc) {
@@ -271,19 +236,19 @@ TEST(LintEventLifetime, OnlyBindsToSrc) {
 
 TEST(LintEventLifetime, AllowCommentSuppresses) {
   const std::string bare =
-      "void Simulation::Every(TimeNs period) {\n"
-      "  PeriodicHandle* raw = handle.get();\n"
-      "  raw->timer_ = CreateTimer([raw] { raw->Fire(); });\n"
+      "void CpuSched::Attach(HostEntity* e) {\n"
+      "  HostEntity* raw = e;\n"
+      "  raw->bw_refill_timer_ = sim_->CreateTimer([raw] { raw->Refill(); });\n"
       "}\n";
-  EXPECT_TRUE(HasRule(LintFile("src/sim/simulation.cc", bare), "event-lifetime"));
+  EXPECT_TRUE(HasRule(LintFile("src/host/cpu_sched.cc", bare), "event-lifetime"));
 
   const std::string allowed =
-      "void Simulation::Every(TimeNs period) {\n"
-      "  PeriodicHandle* raw = handle.get();\n"
-      "  // vsched-lint: allow(event-lifetime) — PeriodicHandle is Simulation-owned\n"
-      "  raw->timer_ = CreateTimer([raw] { raw->Fire(); });\n"
+      "void CpuSched::Attach(HostEntity* e) {\n"
+      "  HostEntity* raw = e;\n"
+      "  // vsched-lint: allow(event-lifetime) — the entity outlives its timer\n"
+      "  raw->bw_refill_timer_ = sim_->CreateTimer([raw] { raw->Refill(); });\n"
       "}\n";
-  EXPECT_TRUE(LintFile("src/sim/simulation.cc", allowed).empty());
+  EXPECT_TRUE(LintFile("src/host/cpu_sched.cc", allowed).empty());
 }
 
 }  // namespace

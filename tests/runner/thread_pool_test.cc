@@ -3,6 +3,7 @@
 #include <atomic>
 #include <chrono>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -42,6 +43,45 @@ TEST(ThreadPoolTest, PropagatesExceptionsThroughFutures) {
       },
       std::runtime_error);
   EXPECT_EQ(good.get(), 7);
+}
+
+// An exception that records the thread that destroys it.
+class TrackedError : public std::runtime_error {
+ public:
+  explicit TrackedError(std::thread::id* destroyed_on)
+      : std::runtime_error("tracked"), destroyed_on_(destroyed_on) {}
+  TrackedError(const TrackedError&) = default;
+  ~TrackedError() override { *destroyed_on_ = std::this_thread::get_id(); }
+
+ private:
+  std::thread::id* destroyed_on_;
+};
+
+TEST(ThreadPoolTest, TaskExceptionsAreDestroyedOnTheSubmittingThread) {
+  // A finished task owns its future's shared state, and with it any stored
+  // exception. A worker that dropped the last reference would free the
+  // exception while the caller may still be reading it, so the pool leaves
+  // finished tasks to the submitting thread. The first throwing task's
+  // future is dropped before the task runs (the blocker holds the only
+  // worker), so that task holds the last reference to its exception.
+  std::thread::id dropped_died_on;
+  std::thread::id caught_died_on;
+  {
+    ThreadPool pool(1);
+    std::atomic<bool> go{false};
+    pool.Submit([&go] {
+      while (!go.load()) {
+        std::this_thread::yield();
+      }
+    });
+    pool.Submit([&dropped_died_on] { throw TrackedError(&dropped_died_on); });
+    go = true;
+    std::future<void> caught =
+        pool.Submit([&caught_died_on] { throw TrackedError(&caught_died_on); });
+    EXPECT_THROW(caught.get(), TrackedError);
+  }
+  EXPECT_EQ(dropped_died_on, std::this_thread::get_id());
+  EXPECT_EQ(caught_died_on, std::this_thread::get_id());
 }
 
 TEST(ThreadPoolTest, DestructorDrainsPendingWork) {

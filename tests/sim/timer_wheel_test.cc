@@ -1,14 +1,12 @@
-// Timer band unit tests, the differential stress against the 4-ary event
-// queue (under a random schedule/cancel/advance workload the band must
-// produce exactly the dispatch sequence the queue would), and a model test
-// of the band contract against an ordered-set reference. Some test names
-// predate the heap and still speak of buckets and cascades.
-#include "src/sim/timer_wheel.h"
-
+// Registered-timer unit tests for the dispatch heap (src/sim/event_queue.h),
+// the same-instant order of timers and one-shot events, and a model test of
+// the whole dispatch contract against an ordered-set reference. The suites
+// keep the timer band's old name, TimerWheel.
 #include <algorithm>
 #include <deque>
-#include <functional>
 #include <set>
+#include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -17,343 +15,289 @@
 #include "src/base/time.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/rng.h"
-#include "src/sim/simulation.h"
 
 namespace vsched {
 namespace {
 
-// Drains every wheel timer with deadline <= `until`, appending deadlines to
-// `fired` via the timers' own callbacks (registered by the caller).
-void DrainUntil(TimerWheel& wheel, TimeNs until) {
-  for (;;) {
-    TimeNs next = wheel.NextDeadlineAtMost(until);
-    if (next == kTimeInfinity) {
-      return;
-    }
-    wheel.RunOne(next);
+// Runs every entry due at or before `until`. Unlike RunUntil, it leaves the
+// clock at the last dispatch and that instant open.
+void DrainUntil(EventQueue& q, TimeNs until) {
+  while (q.NextEventTime() <= until) {
+    q.RunOne();
   }
 }
 
+// NextDeadlineAtMost and RunOne(TimeNs) exist for perfbench's timer probe;
+// this test keeps them working.
 TEST(TimerWheel, FiresAtExactDeadline) {
-  TimerWheel wheel;
+  EventQueue q;
   std::vector<TimeNs> fired;
-  TimerId id = wheel.Register([&] { fired.push_back(TimeNs{12345}); });
-  wheel.Arm(id, 12345);
-  EXPECT_TRUE(wheel.IsArmed(id));
-  EXPECT_EQ(wheel.ArmedAt(id), 12345);
-  EXPECT_EQ(wheel.NextDeadlineAtMost(12344), kTimeInfinity);
-  EXPECT_EQ(wheel.NextDeadlineAtMost(12345), 12345);
-  wheel.RunOne(12345);
+  TimerId id = q.Register([&] { fired.push_back(TimeNs{12345}); });
+  q.Arm(id, 12345);
+  EXPECT_TRUE(q.IsArmed(id));
+  EXPECT_EQ(q.ArmedAt(id), 12345);
+  EXPECT_EQ(q.NextDeadlineAtMost(12344), kTimeInfinity);
+  EXPECT_EQ(q.NextDeadlineAtMost(12345), 12345);
+  q.RunOne(12345);
   EXPECT_EQ(fired.size(), 1u);
-  EXPECT_FALSE(wheel.IsArmed(id));
-  EXPECT_EQ(wheel.ArmedAt(id), kTimeInfinity);
+  EXPECT_FALSE(q.IsArmed(id));
+  EXPECT_EQ(q.ArmedAt(id), kTimeInfinity);
 }
 
 TEST(TimerWheel, SameDeadlineFiresInRegistrationOrder) {
-  TimerWheel wheel;
+  EventQueue q;
   std::vector<int> order;
-  TimerId a = wheel.Register([&] { order.push_back(0); });
-  TimerId b = wheel.Register([&] { order.push_back(1); });
-  TimerId c = wheel.Register([&] { order.push_back(2); });
+  TimerId a = q.Register([&] { order.push_back(0); });
+  TimerId b = q.Register([&] { order.push_back(1); });
+  TimerId c = q.Register([&] { order.push_back(2); });
   // Arm in scrambled order: dispatch is by (deadline, id), not arm order.
-  wheel.Arm(c, MsToNs(5));
-  wheel.Arm(a, MsToNs(5));
-  wheel.Arm(b, MsToNs(5));
-  DrainUntil(wheel, MsToNs(5));
+  q.Arm(c, MsToNs(5));
+  q.Arm(a, MsToNs(5));
+  q.Arm(b, MsToNs(5));
+  DrainUntil(q, MsToNs(5));
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
   (void)a;
   (void)b;
   (void)c;
 }
 
-TEST(TimerWheel, FarDeadlineCascadesDownToExactFiring) {
-  TimerWheel wheel;
+TEST(TimerWheel, FarDeadlineFiresExactly) {
+  EventQueue q;
   std::vector<TimeNs> fired;
   // About 73 simulated minutes ahead.
   const TimeNs kWhen = (TimeNs{1} << 42) + 777;
-  TimerId id = wheel.Register([&] { fired.push_back(kWhen); });
-  wheel.Arm(id, kWhen);
-  // A near probe must not disturb it.
-  EXPECT_EQ(wheel.NextDeadlineAtMost(MsToNs(1)), kTimeInfinity);
-  EXPECT_TRUE(wheel.IsArmed(id));
-  EXPECT_EQ(wheel.NextDeadlineAtMost(kWhen - 1), kTimeInfinity);
-  EXPECT_EQ(wheel.NextDeadlineAtMost(kWhen), kWhen);
-  wheel.RunOne(kWhen);
+  TimerId id = q.Register([&] { fired.push_back(kWhen); });
+  q.Arm(id, kWhen);
+  EXPECT_TRUE(q.IsArmed(id));
+  EXPECT_EQ(q.NextEventTime(), kWhen);
+  q.RunOne();
   ASSERT_EQ(fired.size(), 1u);
-  EXPECT_EQ(wheel.ArmedCount(), 0u);
+  EXPECT_EQ(q.ArmedCount(), 0u);
 }
 
-TEST(TimerWheel, CancelInBucketAndReArm) {
-  TimerWheel wheel;
+TEST(TimerWheel, CancelThenReArm) {
+  EventQueue q;
   int fires = 0;
-  TimerId id = wheel.Register([&] { ++fires; });
-  wheel.Arm(id, MsToNs(3));
-  EXPECT_TRUE(wheel.Cancel(id));
-  EXPECT_FALSE(wheel.Cancel(id));  // already disarmed
-  EXPECT_EQ(wheel.NextDeadlineAtMost(MsToNs(10)), kTimeInfinity);
-  wheel.Arm(id, MsToNs(7));
-  DrainUntil(wheel, MsToNs(10));
+  TimerId id = q.Register([&] { ++fires; });
+  q.Arm(id, MsToNs(3));
+  EXPECT_TRUE(q.Cancel(id));
+  EXPECT_FALSE(q.Cancel(id));  // already disarmed
+  EXPECT_GT(q.NextEventTime(), MsToNs(10));
+  q.Arm(id, MsToNs(7));
+  DrainUntil(q, MsToNs(10));
   EXPECT_EQ(fires, 1);
 }
 
-TEST(TimerWheel, CancelAfterPromotionToReady) {
-  TimerWheel wheel;
+TEST(TimerWheel, CancelTheEarliestAfterAPeek) {
+  EventQueue q;
   int fires = 0;
-  TimerId victim = wheel.Register([&] { ++fires; });
-  TimerId keeper = wheel.Register([&] { ++fires; });
-  wheel.Arm(victim, MsToNs(2));
-  wheel.Arm(keeper, MsToNs(2) + 100);
-  // Cancelling the earliest timer after a probe has seen it must still win.
-  EXPECT_EQ(wheel.NextDeadlineAtMost(MsToNs(3)), MsToNs(2));
-  EXPECT_TRUE(wheel.Cancel(victim));
-  EXPECT_EQ(wheel.NextDeadlineAtMost(MsToNs(3)), MsToNs(2) + 100);
-  wheel.RunOne(MsToNs(2) + 100);
+  TimerId victim = q.Register([&] { ++fires; });
+  TimerId keeper = q.Register([&] { ++fires; });
+  q.Arm(victim, MsToNs(2));
+  q.Arm(keeper, MsToNs(2) + 100);
+  // Cancelling the earliest timer after a peek at it must still win.
+  EXPECT_EQ(q.NextEventTime(), MsToNs(2));
+  EXPECT_TRUE(q.Cancel(victim));
+  EXPECT_EQ(q.NextEventTime(), MsToNs(2) + 100);
+  q.RunOne();
   EXPECT_EQ(fires, 1);
-  EXPECT_EQ(wheel.ArmedCount(), 0u);
+  EXPECT_EQ(q.ArmedCount(), 0u);
 }
 
 TEST(TimerWheel, ReArmMovesTheDeadline) {
-  TimerWheel wheel;
+  EventQueue q;
   std::vector<TimeNs> fired;
-  TimerId id = wheel.Register([&] { fired.push_back(wheel.ArmedAt(id)); });
-  wheel.Arm(id, MsToNs(1));
-  wheel.Arm(id, MsToNs(4));  // re-arm replaces, never duplicates
-  EXPECT_EQ(wheel.ArmedCount(), 1u);
-  EXPECT_EQ(wheel.NextDeadlineAtMost(MsToNs(2)), kTimeInfinity);
-  EXPECT_EQ(wheel.NextDeadlineAtMost(MsToNs(4)), MsToNs(4));
-  wheel.RunOne(MsToNs(4));
+  TimerId id = q.Register([&] { fired.push_back(q.ArmedAt(id)); });
+  q.Arm(id, MsToNs(1));
+  q.Arm(id, MsToNs(4));  // re-arm replaces, never duplicates
+  EXPECT_EQ(q.ArmedCount(), 1u);
+  EXPECT_EQ(q.NextEventTime(), MsToNs(4));
+  q.RunOne();
   EXPECT_EQ(fired.size(), 1u);
 }
 
 TEST(TimerWheel, PeriodicSelfReArmFromCallback) {
-  TimerWheel wheel;
+  EventQueue q;
   int fires = 0;
   TimerId id = kInvalidTimerId;
-  id = wheel.Register([&] {
+  id = q.Register([&] {
     ++fires;
-    // fired_count() is already incremented for this firing, so the next grid
-    // point is one period further.
-    wheel.Arm(id, static_cast<TimeNs>(wheel.fired_count() + 1) * MsToNs(1));
+    // `fires` already counts this firing, so the next grid point is one
+    // period further.
+    q.Arm(id, static_cast<TimeNs>(fires + 1) * MsToNs(1));
   });
-  wheel.Arm(id, MsToNs(1));
-  DrainUntil(wheel, MsToNs(10));
+  q.Arm(id, MsToNs(1));
+  DrainUntil(q, MsToNs(10));
   EXPECT_EQ(fires, 10);
-  EXPECT_TRUE(wheel.IsArmed(id));
-  EXPECT_EQ(wheel.ArmedAt(id), MsToNs(11));
+  EXPECT_TRUE(q.IsArmed(id));
+  EXPECT_EQ(q.ArmedAt(id), MsToNs(11));
 }
 
 TEST(TimerWheel, UnregisterRecyclesIdsLifo) {
-  TimerWheel wheel;
-  TimerId a = wheel.Register([] {});
-  TimerId b = wheel.Register([] {});
+  EventQueue q;
+  TimerId a = q.Register([] {});
+  TimerId b = q.Register([] {});
   EXPECT_NE(a, kInvalidTimerId);
   EXPECT_NE(b, a);
-  wheel.Arm(b, MsToNs(1));
-  wheel.Unregister(b);  // cancels implicitly
-  EXPECT_EQ(wheel.ArmedCount(), 0u);
-  TimerId c = wheel.Register([] {});
+  q.Arm(b, MsToNs(1));
+  q.Unregister(b);  // cancels implicitly
+  EXPECT_EQ(q.ArmedCount(), 0u);
+  TimerId c = q.Register([] {});
   EXPECT_EQ(c, b);  // LIFO reuse keeps id sequences deterministic
   // A recycled slot must not fire the previous owner's pending state.
-  EXPECT_EQ(wheel.NextDeadlineAtMost(MsToNs(10)), kTimeInfinity);
+  EXPECT_GT(q.NextEventTime(), MsToNs(10));
 }
 
 TEST(TimerWheel, StillFiresAtTracksDispatchPosition) {
-  TimerWheel wheel;
+  EventQueue q;
   std::vector<std::pair<TimerId, bool>> seen;
-  TimerId a = wheel.Register([&] { seen.emplace_back(a, wheel.StillFiresAt(a, MsToNs(1))); });
-  TimerId b = wheel.Register([&] { seen.emplace_back(b, wheel.StillFiresAt(b, MsToNs(1))); });
-  wheel.Arm(a, MsToNs(1));
-  wheel.Arm(b, MsToNs(1));
+  TimerId a = q.Register([&] { seen.emplace_back(a, q.StillFiresAt(a, MsToNs(1))); });
+  TimerId b = q.Register([&] { seen.emplace_back(b, q.StillFiresAt(b, MsToNs(1))); });
+  q.Arm(a, MsToNs(1));
+  q.Arm(b, MsToNs(1));
   // Before any dispatch at t, every id still fires at t.
-  EXPECT_TRUE(wheel.StillFiresAt(a, MsToNs(1)));
-  DrainUntil(wheel, MsToNs(1));
+  EXPECT_TRUE(q.StillFiresAt(a, MsToNs(1)));
+  DrainUntil(q, MsToNs(1));
   ASSERT_EQ(seen.size(), 2u);
   // Inside each callback the firing timer itself has been passed already.
   EXPECT_FALSE(seen[0].second);
   EXPECT_FALSE(seen[1].second);
-  EXPECT_FALSE(wheel.StillFiresAt(a, MsToNs(1)));
-  EXPECT_FALSE(wheel.StillFiresAt(b, MsToNs(1)));
-  EXPECT_TRUE(wheel.StillFiresAt(b, MsToNs(2)));  // future instants unaffected
+  EXPECT_FALSE(q.StillFiresAt(a, MsToNs(1)));
+  EXPECT_FALSE(q.StillFiresAt(b, MsToNs(1)));
+  EXPECT_TRUE(q.StillFiresAt(b, MsToNs(2)));  // future instants unaffected
 }
 
 TEST(TimerWheel, StillFiresAtKeepsTheBandHighWaterMark) {
   // Timer `low` is armed for the current instant after `high` has fired, so
   // it fires late, out of id order. `mid`'s band position had still passed.
-  TimerWheel wheel;
-  TimerId low = wheel.Register([] {});
-  TimerId mid = wheel.Register([] {});
-  TimerId high = wheel.Register([&] { wheel.Arm(low, MsToNs(1)); });
-  wheel.Arm(high, MsToNs(1));
-  DrainUntil(wheel, MsToNs(1));
-  EXPECT_FALSE(wheel.IsArmed(low));  // fired after `high`, at the same instant
-  EXPECT_FALSE(wheel.StillFiresAt(mid, MsToNs(1)));
-  EXPECT_FALSE(wheel.StillFiresAt(high, MsToNs(1)));
-  EXPECT_TRUE(wheel.StillFiresAt(high + 1, MsToNs(1)));
+  EventQueue q;
+  TimerId low = q.Register([] {});
+  TimerId mid = q.Register([] {});
+  TimerId high = q.Register([&] { q.Arm(low, MsToNs(1)); });
+  q.Arm(high, MsToNs(1));
+  DrainUntil(q, MsToNs(1));
+  EXPECT_FALSE(q.IsArmed(low));  // fired after `high`, at the same instant
+  EXPECT_FALSE(q.StillFiresAt(mid, MsToNs(1)));
+  EXPECT_FALSE(q.StillFiresAt(high, MsToNs(1)));
+  EXPECT_TRUE(q.StillFiresAt(high + 1, MsToNs(1)));
 }
 
 // ---------------------------------------------------------------------------
-// Differential stress: wheel vs the 4-ary heap, identical dispatch sequences.
+// One instant: timers before one-shot events.
 // ---------------------------------------------------------------------------
 
-// One logical timer mirrored across both backends. Deadlines are kept unique
-// so (when) alone fixes the global order in both structures; same-deadline
-// ordering has its own unit test above (the heap breaks such ties by
-// schedule order, the wheel by id — deliberately not comparable under
-// random arm order).
-struct MirroredTimer {
-  TimerId timer = kInvalidTimerId;
-  EventId event;
-  TimeNs deadline = kTimeInfinity;
-  bool armed = false;
-};
-
-TEST(TimerWheelDifferential, RandomOpsMatchHeapBackend) {
-  constexpr int kTimers = 64;
-  constexpr int kOps = 10000;
-  TimerWheel wheel;
-  EventQueue heap;
-  Rng rng(0x7EE1);
-
-  std::vector<MirroredTimer> timers(kTimers);
-  std::vector<std::pair<TimeNs, int>> wheel_fired;
-  std::vector<std::pair<TimeNs, int>> heap_fired;
-  std::vector<TimeNs> used_deadlines;
-
-  for (int i = 0; i < kTimers; ++i) {
-    timers[i].timer = wheel.Register([&, i] {
-      wheel_fired.emplace_back(timers[i].deadline, i);
-      timers[i].armed = false;
-    });
-  }
-
-  TimeNs now = 0;
-  auto unique_deadline = [&](TimeNs want) {
-    while (std::find(used_deadlines.begin(), used_deadlines.end(), want) !=
-           used_deadlines.end()) {
-      ++want;
-    }
-    used_deadlines.push_back(want);
-    return want;
-  };
-
-  for (int op = 0; op < kOps; ++op) {
-    int roll = static_cast<int>(rng.UniformInt(0, 9));
-    int i = static_cast<int>(rng.UniformInt(0, kTimers - 1));
-    MirroredTimer& t = timers[i];
-    if (roll < 5) {
-      // Arm (or re-arm) with a delta of 2^0 .. 2^36 ns.
-      int magnitude = static_cast<int>(rng.UniformInt(0, 36));
-      TimeNs delta = 1 + static_cast<TimeNs>(rng.UniformInt(0, (TimeNs{1} << magnitude)));
-      TimeNs when = unique_deadline(now + delta);
-      if (t.armed) {
-        wheel.Cancel(t.timer);
-        heap.Cancel(t.event);
-      }
-      t.deadline = when;
-      t.armed = true;
-      wheel.Arm(t.timer, when);
-      t.event = heap.ScheduleAt(when, [&, i] {
-        heap_fired.emplace_back(timers[i].deadline, i);
-      });
-    } else if (roll < 7) {
-      // Cancel.
-      if (t.armed) {
-        EXPECT_TRUE(wheel.Cancel(t.timer));
-        EXPECT_TRUE(heap.Cancel(t.event));
-        t.armed = false;
-      }
-    } else {
-      // Advance both backends through the same window.
-      TimeNs until = now + static_cast<TimeNs>(rng.UniformInt(0, MsToNs(40)));
-      DrainUntil(wheel, until);
-      heap.RunUntil(until);
-      now = until;
-      ASSERT_EQ(wheel_fired.size(), heap_fired.size()) << "after op " << op;
-    }
-  }
-  // Flush everything still pending.
-  DrainUntil(wheel, kTimeInfinity - 1);
-  heap.RunUntil(kTimeInfinity - 1);
-
-  ASSERT_EQ(wheel_fired.size(), heap_fired.size());
-  EXPECT_EQ(wheel_fired, heap_fired);
-  EXPECT_EQ(wheel.ArmedCount(), 0u);
-  EXPECT_EQ(heap.PendingCount(), 0u);
-}
-
-// The same invariant one level up: a periodic wheel timer re-armed from its
-// own callback (how every production tick and refill runs) against a
-// hand-scheduled heap chain produces the same firing timeline.
-TEST(TimerWheelDifferential, PeriodicMatchesHeapChain) {
-  Simulation sim(1);
-  std::vector<TimeNs> wheel_ticks;
-  TimerId tick = kInvalidTimerId;
-  tick = sim.CreateTimer([&] {
-    wheel_ticks.push_back(sim.now());
-    sim.ArmTimerAfter(tick, MsToNs(1));
+TEST(TimerWheelOrder, TimersFireBeforeEventsAtOneInstant) {
+  EventQueue q;
+  std::vector<std::string> order;
+  const TimerId late = q.Register([&] { order.push_back("timer late"); });
+  const TimerId b = q.Register([&] { order.push_back("timer b"); });
+  const TimerId a = q.Register([&] {
+    order.push_back("timer a");
+    // Posted for now() from inside a timer: after every timer of the
+    // instant, then after the events posted before it (FIFO).
+    q.ScheduleAt(q.now(), [&] { order.push_back("event from a"); });
   });
-  sim.ArmTimerAfter(tick, MsToNs(1));
+  q.ScheduleAt(MsToNs(1), [&] {
+    order.push_back("event 1");
+    EXPECT_FALSE(q.StillFiresAt(late, MsToNs(1)));  // an event closed the instant
+    // Armed for now() from inside an event: before the instant's remaining
+    // events.
+    q.Arm(late, q.now());
+  });
+  q.ScheduleAt(MsToNs(1), [&] { order.push_back("event 2"); });
+  q.Arm(b, MsToNs(1));
+  q.Arm(a, MsToNs(1));
+  q.RunUntil(MsToNs(1));
+  EXPECT_EQ(order, (std::vector<std::string>{"timer b", "timer a", "event 1", "timer late",
+                                             "event 2", "event from a"}));
+  EXPECT_FALSE(q.StillFiresAt(late, MsToNs(1)));
+}
 
-  EventQueue heap;
-  std::vector<TimeNs> heap_ticks;
-  std::function<void()> chain = [&] {
-    heap_ticks.push_back(heap.now());
-    heap.ScheduleAfter(MsToNs(1), [&] { chain(); });
-  };
-  heap.ScheduleAfter(MsToNs(1), [&] { chain(); });
-
-  sim.RunFor(MsToNs(100));
-  heap.RunUntil(MsToNs(100));
-  EXPECT_EQ(wheel_ticks, heap_ticks);
-  EXPECT_EQ(wheel_ticks.size(), 100u);
+TEST(TimerWheelOrder, RunUntilClosesItsDeadline) {
+  EventQueue q;
+  const TimerId id = q.Register([] {});
+  q.RunUntil(MsToNs(1));
+  EXPECT_FALSE(q.StillFiresAt(id, MsToNs(1)));
+  EXPECT_TRUE(q.StillFiresAt(id, MsToNs(2)));
+  // A timer armed between two RunUntil calls still fires at the closed
+  // instant, and the instant stays closed.
+  q.Arm(id, MsToNs(1));
+  q.RunUntil(MsToNs(1));
+  EXPECT_FALSE(q.IsArmed(id));
+  EXPECT_FALSE(q.StillFiresAt(id, MsToNs(1)));
 }
 
 // ---------------------------------------------------------------------------
-// Model test: the band contract against an ordered-set reference.
+// Model test: the dispatch contract against an ordered-set reference.
 // ---------------------------------------------------------------------------
 
-// The reference holds the armed timers as a set of (deadline, id) and fires
-// its minimum. That is the whole band contract: timers fire in (deadline,
-// TimerId) order, and a timer armed from a callback for the dispatching
-// instant still fires this instant, late if the band already passed its id.
-// The reference also predicts LIFO id reuse and StillFiresAt's band
-// high-water mark. Operations come from the test body and from inside firing
-// callbacks, and deadlines sit on coarse grids so that ties are common: a
-// wheel that broke a tie other than by id would fire another sequence.
-class BandModel {
+// The reference holds every pending entry as a (time, kind, tie) triple in a
+// std::set and fires its minimum: timers (kind 0, tied by TimerId) before
+// one-shot events (kind 1, tied by post order) at one instant. That is the
+// whole dispatch contract: a timer armed for the dispatching instant from a
+// callback still fires this instant (late, if its id's turn has passed, and
+// before the instant's remaining events), and an event posted for it waits
+// for every timer and every earlier event. The reference also predicts LIFO
+// id reuse, which event handles still cancel (never one whose event ran or
+// was cancelled, even after a later post reused its slot), and StillFiresAt:
+// false once a timer at or past the id fired this instant, or once an event
+// ran or RunUntil returned at it. Operations come from the test body and
+// from inside firing timers and events, and times sit on coarse grids so
+// that ties are common: a queue that broke a tie another way would fire
+// another sequence.
+class DispatchModel {
  public:
   struct Stats {
-    int fires = 0;
-    int ties = 0;           // fires at the same instant as the previous fire
-    int late_fires = 0;     // ...whose id is below one already fired there
-    int recycled_ids = 0;   // Register calls that reused a retired id
-    int callback_arms = 0;  // arms issued from inside a firing callback
+    int fires = 0;                 // timer fires
+    int ties = 0;                  // ...at an instant where something already fired
+    int late_fires = 0;            // ...whose id is below one already fired there
+    int fires_at_closed = 0;       // ...at an instant an event or RunUntil closed
+    int mixed_instants = 0;        // ...while an event is pending at the same instant
+    int events = 0;                // event dispatches
+    int event_ties = 0;            // ...at an instant where an event already ran
+    int recycled_ids = 0;          // Register calls that reused a retired id
+    int callback_arms = 0;         // arms issued from inside a firing timer
+    int arms_now_from_events = 0;  // arms for now() from inside an event
+    int posts_now_from_timers = 0;  // posts for now() from inside a timer
+    int stale_cancels = 0;         // cancels of a spent handle after a later post
+    int self_cancels = 0;          // an event cancelling its own handle
+    int closed_queries = 0;        // StillFiresAt false only because the instant closed
   };
 
-  BandModel(uint64_t seed, std::vector<TimeNs> quanta)
+  DispatchModel(uint64_t seed, std::vector<TimeNs> quanta)
       : rng_(seed), quanta_(std::move(quanta)) {}
 
-  // Runs `ops` random operations, then drains everything still armed.
+  // Runs `ops` random operations, then drains everything still pending.
   void Run(int ops) {
     for (int op = 0; op < ops && !::testing::Test::HasFailure(); ++op) {
       if (rng_.Bernoulli(0.3)) {
-        const TimeNs until = now_ + Delta();
-        Drain(until);
-        now_ = until;
+        Advance(now_ + Delta(), rng_.Bernoulli(0.5));
       } else {
-        RandomOp(kInvalidTimerId);
+        RandomOp(kInvalidTimerId, kNoEvent);
       }
     }
-    Drain(kTimeInfinity - 1);
-    EXPECT_EQ(wheel_.ArmedCount(), 0u);
+    Advance(kTimeInfinity - 1, /*run_until=*/true);
+    EXPECT_EQ(q_.ArmedCount(), 0u);
+    EXPECT_EQ(q_.PendingCount(), 0u);
     EXPECT_EQ(fired_, expected_);
   }
 
   const Stats& stats() const { return stats_; }
 
  private:
+  using Key = std::tuple<TimeNs, int, uint64_t>;  // (time, kind, tie)
+  static constexpr int kTimer = 0;
+  static constexpr int kEvent = 1;
+  static constexpr uint64_t kNoEvent = UINT64_MAX;
   static constexpr size_t kMaxLive = 40;
   static constexpr int kMaxFiresPerInstant = 64;
+
+  struct Posted {
+    EventId id;
+    TimeNs when = 0;
+    bool pending = true;
+    size_t posts_at_end = 0;  // posted_.size() when it ran or was cancelled
+  };
 
   // A step from now_: zero (this instant) or a few quanta.
   TimeNs Delta() {
@@ -369,31 +313,41 @@ class BandModel {
     return live_[static_cast<size_t>(i)];
   }
 
-  // One operation; `firing` is the timer whose callback issues it, if any.
-  void RandomOp(TimerId firing) {
-    const int64_t roll = rng_.UniformInt(0, 9);
+  // One operation; `timer` or `event` is the entry whose callback issues it,
+  // if any.
+  void RandomOp(TimerId timer, uint64_t event) {
+    const int64_t roll = rng_.UniformInt(0, 14);
     if (live_.empty() || (roll < 2 && live_.size() < kMaxLive)) {
       Register();
     } else if (roll == 2) {
       const TimerId id = Pick();
-      if (id != firing) {  // a callback never retires its own slot
+      if (id != timer) {  // a callback never retires its own slot
         Unregister(id);
       }
     } else if (roll < 7) {
-      Arm(Pick(), now_ + Delta());
-      if (firing != kInvalidTimerId) {
-        ++stats_.callback_arms;
-      }
+      const TimeNs delta = Delta();
+      Arm(Pick(), now_ + delta);
+      stats_.callback_arms += timer != kInvalidTimerId ? 1 : 0;
+      stats_.arms_now_from_events += event != kNoEvent && delta == 0 ? 1 : 0;
     } else if (roll == 7) {
       const TimerId id = Pick();
-      const bool armed = when_[id] != kTimeInfinity;
-      EXPECT_EQ(wheel_.Cancel(id), armed);
+      EXPECT_EQ(q_.Cancel(id), when_[id] != kTimeInfinity);
       Disarm(id);
-    } else {
+    } else if (roll == 8) {
       const TimerId id = Pick();
-      EXPECT_EQ(wheel_.IsArmed(id), when_[id] != kTimeInfinity);
-      EXPECT_EQ(wheel_.ArmedAt(id), when_[id]);
-      EXPECT_EQ(wheel_.StillFiresAt(id, now_), StillFires(id, now_));
+      EXPECT_EQ(q_.IsArmed(id), when_[id] != kTimeInfinity);
+      EXPECT_EQ(q_.ArmedAt(id), when_[id]);
+      EXPECT_EQ(q_.StillFiresAt(id, now_), StillFires(id));
+    } else if (roll < 12) {
+      if (live_events_ < kMaxLive) {
+        const TimeNs delta = Delta();
+        Post(now_ + delta);
+        stats_.posts_now_from_timers += timer != kInvalidTimerId && delta == 0 ? 1 : 0;
+      }
+    } else if (!posted_.empty()) {
+      // Any handle ever issued: pending, spent, or spent with its slot reused.
+      const auto i = rng_.UniformInt(0, static_cast<int64_t>(posted_.size()) - 1);
+      CancelEvent(static_cast<uint64_t>(i));
     }
   }
 
@@ -407,7 +361,7 @@ class BandModel {
       when_.push_back(kTimeInfinity);
     }
     TimerId* self = &self_ids_.emplace_back(want);
-    const TimerId id = wheel_.Register([this, self] { OnFire(*self); });
+    const TimerId id = q_.Register([this, self] { OnFire(*self); });
     EXPECT_EQ(id, want) << "ids are recycled LIFO";
     if (id == want) {
       live_.push_back(id);
@@ -415,112 +369,188 @@ class BandModel {
   }
 
   void Unregister(TimerId id) {
-    wheel_.Unregister(id);
+    q_.Unregister(id);
     Disarm(id);
     live_.erase(std::find(live_.begin(), live_.end(), id));
     free_.push_back(id);
   }
 
   void Arm(TimerId id, TimeNs when) {
-    wheel_.Arm(id, when);
+    q_.Arm(id, when);
     Disarm(id);
     when_[id] = when;
-    armed_.emplace(when, id);
+    pending_.emplace(when, kTimer, id);
   }
 
   void Disarm(TimerId id) {
     if (when_[id] != kTimeInfinity) {
-      armed_.erase({when_[id], id});
+      pending_.erase({when_[id], kTimer, id});
       when_[id] = kTimeInfinity;
     }
   }
 
-  bool StillFires(TimerId id, TimeNs when) const {
-    return !(fired_any_ && when == last_when_ && id <= band_high_);
+  void Post(TimeNs when) {
+    const uint64_t seq = posted_.size();
+    posted_.push_back(Posted{EventId(), when});
+    posted_.back().id = q_.ScheduleAt(when, [this, seq] { OnEvent(seq); });
+    pending_.emplace(when, kEvent, seq);
+    ++live_events_;
+  }
+
+  void CancelEvent(uint64_t seq) {
+    Posted& p = posted_[seq];
+    EXPECT_EQ(q_.Cancel(p.id), p.pending);
+    if (p.pending) {
+      pending_.erase({p.when, kEvent, seq});
+      Spend(seq);
+    } else if (posted_.size() > p.posts_at_end) {
+      ++stats_.stale_cancels;
+    }
+  }
+
+  void Spend(uint64_t seq) {
+    posted_[seq].pending = false;
+    posted_[seq].posts_at_end = posted_.size();
+    --live_events_;
+  }
+
+  bool StillFires(TimerId id) const { return !closed_ && id > band_high_; }
+
+  void NewInstant(TimeNs when) {
+    if (when != now_) {
+      now_ = when;
+      band_high_ = kInvalidTimerId;
+      closed_ = false;
+      fires_this_instant_ = 0;
+      events_this_instant_ = 0;
+    }
   }
 
   // Fires the reference's minimum while it is <= `until`, checking the
-  // wheel's probe, its pick, and StillFiresAt for every live id after each
-  // fire.
-  void Drain(TimeNs until) {
+  // queue's next time, its pick, its counts, and StillFiresAt for every live
+  // id after each dispatch. With `run_until`, RunUntil then closes `until`.
+  void Advance(TimeNs until, bool run_until) {
     while (!::testing::Test::HasFailure()) {
-      const TimeNs want =
-          armed_.empty() || armed_.begin()->first > until ? kTimeInfinity : armed_.begin()->first;
-      const TimeNs got = wheel_.NextDeadlineAtMost(until);
+      const TimeNs want = pending_.empty() || std::get<0>(*pending_.begin()) > until
+                              ? kTimeInfinity
+                              : std::get<0>(*pending_.begin());
+      const TimeNs got = q_.NextEventTime() <= until ? q_.NextEventTime() : kTimeInfinity;
       EXPECT_EQ(got, want);
       if (got != want || got == kTimeInfinity) {
-        return;
+        break;
       }
-      const auto [when, id] = *armed_.begin();
-      armed_.erase(armed_.begin());
-      when_[id] = kTimeInfinity;
-      if (fired_any_ && last_when_ == when) {
-        ++stats_.ties;
-        ++fires_this_instant_;
-        if (id < band_high_) {
-          ++stats_.late_fires;
-        }
+      const Key next = *pending_.begin();
+      const auto [when, kind, tie] = next;
+      pending_.erase(pending_.begin());
+      NewInstant(when);
+      if (kind == kTimer) {
+        const TimerId id = static_cast<TimerId>(tie);
+        when_[id] = kTimeInfinity;
+        ++stats_.fires;
+        stats_.ties += fires_this_instant_ > 0 ? 1 : 0;
+        stats_.late_fires += id < band_high_ ? 1 : 0;
+        stats_.fires_at_closed += closed_ ? 1 : 0;
+        const auto first_event = pending_.lower_bound({when, kEvent, 0});
+        stats_.mixed_instants +=
+            first_event != pending_.end() && std::get<0>(*first_event) == when ? 1 : 0;
+        band_high_ = std::max(band_high_, id);
       } else {
-        band_high_ = kInvalidTimerId;
-        fires_this_instant_ = 1;
+        Spend(tie);
+        ++stats_.events;
+        stats_.event_ties += events_this_instant_ > 0 ? 1 : 0;
+        ++events_this_instant_;
+        closed_ = true;
       }
-      band_high_ = std::max(band_high_, id);
-      fired_any_ = true;
-      last_when_ = when;
-      now_ = when;
-      ++stats_.fires;
-      expected_.emplace_back(when, id);
-      wheel_.RunOne(got);
-      EXPECT_EQ(wheel_.ArmedCount(), armed_.size());
-      for (const TimerId x : live_) {
-        EXPECT_EQ(wheel_.StillFiresAt(x, now_), StillFires(x, now_))
-            << "timer " << x << " at " << now_;
-        EXPECT_TRUE(wheel_.StillFiresAt(x, now_ + 1));
-      }
+      ++fires_this_instant_;
+      expected_.push_back(next);
+      const size_t before = fired_.size();
+      EXPECT_TRUE(q_.RunOne());
+      ASSERT_EQ(fired_.size(), before + 1);
+      EXPECT_EQ(fired_.back(), next);
+      CheckCountsAndStillFires();
+    }
+    if (run_until && !::testing::Test::HasFailure()) {
+      q_.RunUntil(until);
+      NewInstant(until);
+      closed_ = true;
+      EXPECT_EQ(q_.now(), until);
+      CheckCountsAndStillFires();
+    }
+  }
+
+  void CheckCountsAndStillFires() {
+    EXPECT_EQ(q_.PendingCount(), live_events_);
+    EXPECT_EQ(q_.ArmedCount(), pending_.size() - live_events_);
+    for (const TimerId x : live_) {
+      EXPECT_EQ(q_.StillFiresAt(x, now_), StillFires(x)) << "timer " << x << " at " << now_;
+      EXPECT_TRUE(q_.StillFiresAt(x, now_ + 1));
+      stats_.closed_queries += closed_ && x > band_high_ ? 1 : 0;
     }
   }
 
   void OnFire(TimerId self) {
-    fired_.emplace_back(now_, self);
+    fired_.emplace_back(q_.now(), kTimer, self);
     const int64_t ops = rng_.UniformInt(0, 2);
     for (int64_t i = 0; i < ops && !::testing::Test::HasFailure(); ++i) {
-      RandomOp(self);
+      RandomOp(self, kNoEvent);
+    }
+  }
+
+  void OnEvent(uint64_t seq) {
+    fired_.emplace_back(q_.now(), kEvent, seq);
+    if (rng_.Bernoulli(0.2)) {
+      CancelEvent(seq);  // the running event is spent: a clean miss
+      ++stats_.self_cancels;
+    }
+    const int64_t ops = rng_.UniformInt(0, 2);
+    for (int64_t i = 0; i < ops && !::testing::Test::HasFailure(); ++i) {
+      RandomOp(kInvalidTimerId, seq);
     }
   }
 
   Rng rng_;
   std::vector<TimeNs> quanta_;
-  TimerWheel wheel_;
+  EventQueue q_;
   // Reference state.
-  std::set<std::pair<TimeNs, TimerId>> armed_;
+  std::set<Key> pending_;
   std::vector<TimeNs> when_{kTimeInfinity};  // by id; kTimeInfinity: unarmed
   std::vector<TimerId> live_;
   std::vector<TimerId> free_;
   std::deque<TimerId> self_ids_;  // each callback's own id, address-stable
+  std::deque<Posted> posted_;     // by post order
+  size_t live_events_ = 0;
   TimeNs now_ = 0;
-  bool fired_any_ = false;
-  TimeNs last_when_ = 0;
   TimerId band_high_ = kInvalidTimerId;
+  bool closed_ = false;
   int fires_this_instant_ = 0;
-  // (deadline, id) of every fire: as the reference predicts it, and as the
-  // callbacks saw it.
-  std::vector<std::pair<TimeNs, TimerId>> expected_;
-  std::vector<std::pair<TimeNs, TimerId>> fired_;
+  int events_this_instant_ = 0;
+  // Every dispatch: as the reference predicts it, and as the callbacks saw
+  // it.
+  std::vector<Key> expected_;
+  std::vector<Key> fired_;
   Stats stats_;
 };
 
-void ExpectEveryCornerVisited(const BandModel::Stats& s) {
+void ExpectEveryCornerVisited(const DispatchModel::Stats& s) {
   EXPECT_GT(s.ties, 0);
   EXPECT_GT(s.late_fires, 0);
+  EXPECT_GT(s.fires_at_closed, 0);
+  EXPECT_GT(s.mixed_instants, 0);
+  EXPECT_GT(s.event_ties, 0);
   EXPECT_GT(s.recycled_ids, 0);
   EXPECT_GT(s.callback_arms, 0);
+  EXPECT_GT(s.arms_now_from_events, 0);
+  EXPECT_GT(s.posts_now_from_timers, 0);
+  EXPECT_GT(s.stale_cancels, 0);
+  EXPECT_GT(s.self_cancels, 0);
+  EXPECT_GT(s.closed_queries, 0);
 }
 
 TEST(TimerWheelModel, RandomWalksMatchTheOrderedSetReference) {
   // Steps from one nanosecond to tens of milliseconds.
   for (uint64_t seed = 1; seed <= 4; ++seed) {
     SCOPED_TRACE(::testing::Message() << "seed " << seed);
-    BandModel model(seed, {1, 1000, TimeNs{1} << 16, TimeNs{1} << 22});
+    DispatchModel model(seed, {1, 1000, TimeNs{1} << 16, TimeNs{1} << 22});
     model.Run(5000);
     ExpectEveryCornerVisited(model.stats());
     if (::testing::Test::HasFailure()) {
@@ -530,11 +560,11 @@ TEST(TimerWheelModel, RandomWalksMatchTheOrderedSetReference) {
 }
 
 TEST(TimerWheelModel, CrowdedInstantsMatchTheOrderedSetReference) {
-  // One-microsecond steps: a third or more of the fires share their instant
-  // with an earlier one.
+  // One-microsecond steps: a third or more of the timer fires share their
+  // instant with an earlier dispatch.
   for (uint64_t seed = 11; seed <= 14; ++seed) {
     SCOPED_TRACE(::testing::Message() << "seed " << seed);
-    BandModel model(seed, {1000});
+    DispatchModel model(seed, {1000});
     model.Run(5000);
     ExpectEveryCornerVisited(model.stats());
     EXPECT_GT(model.stats().ties * 3, model.stats().fires);

@@ -22,20 +22,15 @@ bool IsPlacementFile(const std::string& path) {
 
 // Posting interfaces whose callable argument outlives the caller's stack
 // frame. `qualified` sinks only count behind `.` / `->` / `::` (the bare
-// names are too generic to match globally). `factory` sinks take a lambda
-// that is invoked synchronously and *returns* the closure that gets posted
-// (EventQueue::PostBatch) — the capture rules apply to the returned lambda,
-// not the factory itself.
+// names are too generic to match globally).
 struct SinkSpec {
   const char* name;
   bool qualified;
-  bool factory = false;
 };
 const SinkSpec kSinks[] = {
     {"After", false},       {"At", true},          {"ScheduleAfter", false},
-    {"ScheduleAt", false},  {"CreateTimer", false}, {"Every", true},
-    {"RunOnVcpu", false},   {"AddTickHook", false}, {"ArmArrival", false},
-    {"PostBatch", false, /*factory=*/true},
+    {"ScheduleAt", false},  {"CreateTimer", false}, {"RunOnVcpu", false},
+    {"AddTickHook", false}, {"ArmArrival", false},
 };
 
 // The sharded fleet engine's mailbox and cell inboxes
@@ -535,28 +530,10 @@ class Analyzer {
     return out;
   }
 
-  // For a factory sink (PostBatch), the outer lambda runs synchronously
-  // inside the call; the closure that actually lives on the queue is the one
-  // it `return`s. Re-target the check at the first returned lambda so the
-  // `[this](size_t i) { return [this, i, alive = ...] {...}; }` idiom is
-  // judged on the inner capture list.
-  LambdaInfo ReturnedLambda(const LambdaInfo& outer) const {
-    for (size_t i = outer.body_open + 1; i + 1 < outer.body_close; ++i) {
-      if (IsI(i, "return") && IsP(i + 1, "[") && LooksLikeLambdaIntro(i + 1)) {
-        LambdaInfo inner = ParseLambda(i + 1);
-        if (inner.valid) {
-          return inner;
-        }
-      }
-    }
-    return outer;
-  }
-
-  void CheckPostedLambda(size_t sink_idx, const LambdaInfo& posted, bool factory) {
-    if (!posted.valid) {
+  void CheckPostedLambda(size_t sink_idx, const LambdaInfo& info) {
+    if (!info.valid) {
       return;
     }
-    const LambdaInfo info = factory ? ReturnedLambda(posted) : posted;
     bool has_unsafe = false;
     bool has_token = false;
     for (const Capture& c : info.captures) {
@@ -893,14 +870,13 @@ class Analyzer {
           }
         }
 
-        const SinkSpec* sink = SinkAt(i);
-        if (sink != nullptr) {
+        if (SinkAt(i) != nullptr) {
           size_t rp = Match(i + 1);
           if (rp < Size()) {
             for (const auto& span : SplitTopLevel(i + 2, rp)) {
               if (span.first < span.second && IsP(span.first, "[") &&
                   LooksLikeLambdaIntro(span.first)) {
-                CheckPostedLambda(i, ParseLambda(span.first), sink->factory);
+                CheckPostedLambda(i, ParseLambda(span.first));
               }
             }
           }

@@ -17,11 +17,9 @@
 //      capture actually copies — an int, a shared_ptr, or a raw pointer;
 //   3. a capture analyzer for every lambda literal passed to an event
 //      *sink*: `Simulation::After/At`, `EventQueue::ScheduleAt/After`,
-//      `CreateTimer`, `Every`, the IPI queue (`GuestKernel::RunOnVcpu`),
-//      tick-hook registration (`AddTickHook`), the fault injector's
-//      posting wrapper (`ArmArrival`), and the batch-posting entry point
-//      (`EventQueue::PostBatch` — a *factory* sink: the lambda passed in is
-//      invoked synchronously, so the rules apply to the closure it returns).
+//      `CreateTimer`, the IPI queue (`GuestKernel::RunOnVcpu`), tick-hook
+//      registration (`AddTickHook`), and the fault injector's posting
+//      wrapper (`ArmArrival`).
 //
 // Three rule families run on top:
 //
