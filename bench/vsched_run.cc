@@ -21,6 +21,7 @@
 #include <chrono>
 #include <climits>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -80,7 +81,8 @@ void Usage(std::FILE* out) {
                "                     on, single-VM plus tiny-fleet rows, emitting the\n"
                "                     dx_* deception matrix (docs/ROBUSTNESS.md);\n"
                "                     replaces --experiment\n"
-               "  --jobs N           worker threads; 0 = hardware concurrency, 1 = serial\n"
+               "  --jobs N           worker threads, at most one per run; 0 = hardware\n"
+               "                     concurrency, 1 = serial\n"
                "  --seed S           base seed override (default: the sweep's own)\n"
                "  --out FILE         write JSONL rows to FILE instead of stdout\n"
                "  --filter SUBSTR    keep only runs whose id contains SUBSTR\n"
@@ -95,25 +97,30 @@ void Usage(std::FILE* out) {
                "  --list-plans       print the canned fault plan names and exit\n"
                "  --event-budget N   per-run simulated-event watchdog; a run exceeding N\n"
                "                     events reports status=timeout instead of hanging\n"
-               "  --shards N         fleet runs: worker threads per fleet, N >= 1 (default 1);\n"
-               "                     rows are byte-identical for every N\n"
+               "  --shards N         fleet runs: worker threads per fleet, at most one per\n"
+               "                     cell, N >= 1 (default 1); rows are byte-identical for\n"
+               "                     every N\n"
                "  --resume FILE      reuse ok rows from a previous JSONL output and execute\n"
                "                     only the missing/failed cells\n");
 }
 
-// Parses `text` as a whole decimal integer >= 1; exits 2 naming `flag`
-// otherwise.
-int ParsePositiveInt(const char* flag, const char* text) {
+// Parses `text` as a whole decimal integer in [min, max]; exits 2 naming
+// `flag` otherwise.
+uint64_t ParseWhole(const char* flag, const char* text, uint64_t min, uint64_t max) {
   errno = 0;
   char* end = nullptr;
-  long value = std::strtol(text, &end, 10);
+  unsigned long long value = std::strtoull(text, &end, 10);
   bool whole = std::isdigit(static_cast<unsigned char>(*text)) && *end == '\0' && errno != ERANGE;
-  if (!whole || value < 1 || value > INT_MAX) {
-    std::fprintf(stderr, "vsched_run: %s needs an integer >= 1, got '%s'\n", flag, text);
+  if (!whole || value < min || value > max) {
+    std::fprintf(stderr, "vsched_run: %s needs an integer in [%llu, %llu], got '%s'\n", flag,
+                 static_cast<unsigned long long>(min), static_cast<unsigned long long>(max), text);
     std::exit(2);
   }
-  return static_cast<int>(value);
+  return value;
 }
+
+// The largest --warmup-ms/--measure-ms that MsToNs converts without overflow.
+constexpr uint64_t kMaxMs = INT64_MAX / kNsPerMs;
 
 // Parses argv; returns false (after printing usage) on an unknown flag.
 bool ParseArgs(int argc, char** argv, CliOptions& cli) {
@@ -170,25 +177,25 @@ bool ParseArgs(int argc, char** argv, CliOptions& cli) {
     } else if (take("--fault-plan")) {
       cli.fault_plan = v;
     } else if (take("--event-budget")) {
-      cli.event_budget = std::strtoull(v, nullptr, 0);
+      cli.event_budget = ParseWhole("--event-budget", v, 0, UINT64_MAX);
     } else if (take("--shards")) {
-      cli.shards = ParsePositiveInt("--shards", v);
+      cli.shards = static_cast<int>(ParseWhole("--shards", v, 1, INT_MAX));
     } else if (take("--resume")) {
       cli.resume = v;
     } else if (take("--experiment")) {
       cli.experiment = v;
     } else if (take("--jobs")) {
-      cli.jobs = std::atoi(v);
+      cli.jobs = static_cast<int>(ParseWhole("--jobs", v, 0, INT_MAX));
     } else if (take("--seed")) {
-      cli.seed = std::strtoull(v, nullptr, 0);
+      cli.seed = ParseWhole("--seed", v, 0, UINT64_MAX);
     } else if (take("--out")) {
       cli.out = v;
     } else if (take("--filter")) {
       cli.filter = v;
     } else if (take("--warmup-ms")) {
-      cli.warmup_ms = std::atol(v);
+      cli.warmup_ms = static_cast<long>(ParseWhole("--warmup-ms", v, 0, kMaxMs));
     } else if (take("--measure-ms")) {
-      cli.measure_ms = std::atol(v);
+      cli.measure_ms = static_cast<long>(ParseWhole("--measure-ms", v, 0, kMaxMs));
     } else {
       std::fprintf(stderr, "vsched_run: unknown flag %s\n", arg.c_str());
       Usage(stderr);

@@ -1,95 +1,87 @@
 #include "src/base/thread_pool.h"
 
 #include <algorithm>
+#include <exception>
 
 namespace vsched {
 
 ThreadPool::ThreadPool(int threads) {
   unsigned n = threads > 0 ? static_cast<unsigned>(threads) : std::thread::hardware_concurrency();
   n = std::max(1u, n);
-  shards_.reserve(n);
-  for (unsigned i = 0; i < n; ++i) {
-    shards_.push_back(std::make_unique<Shard>());
-  }
   workers_.reserve(n);
   for (unsigned i = 0; i < n; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
+    workers_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
 ThreadPool::~ThreadPool() {
   {
-    std::lock_guard<std::mutex> lock(sleep_mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     stopping_ = true;
   }
   work_cv_.notify_all();
   for (std::thread& worker : workers_) {
     worker.join();
   }
-  DropSpent();
-}
-
-void ThreadPool::DropSpent() {
-  std::vector<std::function<void()>> spent;
-  {
-    std::lock_guard<std::mutex> lock(spent_mu_);
-    spent.swap(spent_);
-  }
+  // spent_ dies with the pool, on this thread.
 }
 
 void ThreadPool::Push(std::function<void()> fn) {
-  size_t shard = next_shard_.fetch_add(1, std::memory_order_relaxed) % shards_.size();
+  std::vector<std::function<void()>> spent;
   {
-    std::lock_guard<std::mutex> lock(shards_[shard]->mu);
-    shards_[shard]->tasks.push_back(std::move(fn));
-  }
-  {
-    std::lock_guard<std::mutex> lock(sleep_mu_);
-    ++pending_;
+    std::lock_guard<std::mutex> lock(mu_);
+    spent.swap(spent_);
+    queue_.push_back(std::move(fn));
   }
   work_cv_.notify_one();
 }
 
-bool ThreadPool::Take(size_t self, std::function<void()>& out) {
-  {
-    Shard& own = *shards_[self];
-    std::lock_guard<std::mutex> lock(own.mu);
-    if (!own.tasks.empty()) {
-      out = std::move(own.tasks.front());
-      own.tasks.pop_front();
-      return true;
+void ThreadPool::WorkerLoop() {
+  std::unique_lock<std::mutex> lock(mu_);
+  for (;;) {
+    work_cv_.wait(lock, [this] { return !queue_.empty() || stopping_; });
+    if (queue_.empty()) {
+      return;  // stopping_ and nothing left to drain
     }
+    std::function<void()> task = std::move(queue_.front());
+    queue_.pop_front();
+    lock.unlock();
+    task();
+    lock.lock();
+    spent_.push_back(std::move(task));
   }
-  for (size_t i = 1; i < shards_.size(); ++i) {
-    Shard& victim = *shards_[(self + i) % shards_.size()];
-    std::lock_guard<std::mutex> lock(victim.mu);
-    if (!victim.tasks.empty()) {
-      out = std::move(victim.tasks.back());
-      victim.tasks.pop_back();
-      return true;
-    }
-  }
-  return false;
 }
 
-void ThreadPool::WorkerLoop(size_t self) {
-  for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(sleep_mu_);
-      work_cv_.wait(lock, [this] { return pending_ > 0 || stopping_; });
-      if (pending_ == 0) {
-        return;  // stopping_ and nothing left to drain
+std::unique_ptr<ThreadPool> MakePool(int threads, size_t tasks) {
+  size_t n = threads > 0 ? static_cast<size_t>(threads) : std::thread::hardware_concurrency();
+  n = std::min(n, tasks);
+  return n > 1 ? std::make_unique<ThreadPool>(static_cast<int>(n)) : nullptr;
+}
+
+void RunEach(ThreadPool* pool, size_t n, const std::function<void(size_t)>& fn) {
+  std::vector<std::future<void>> pending;
+  if (pool != nullptr) {
+    pending.reserve(n);
+    for (size_t i = 0; i < n; ++i) {
+      pending.push_back(pool->Submit([&fn, i] { fn(i); }));
+    }
+  }
+  std::exception_ptr first_error;
+  for (size_t i = 0; i < n; ++i) {
+    try {
+      if (pool == nullptr) {
+        fn(i);
+      } else {
+        pending[i].get();
       }
-      --pending_;
+    } catch (...) {
+      if (first_error == nullptr) {
+        first_error = std::current_exception();
+      }
     }
-    // pending_ was decremented for us, so some shard holds a task; stealing
-    // makes the scan guaranteed to find one.
-    while (!Take(self, task)) {
-    }
-    task();
-    std::lock_guard<std::mutex> lock(spent_mu_);
-    spent_.push_back(std::move(task));
+  }
+  if (first_error != nullptr) {
+    std::rethrow_exception(first_error);
   }
 }
 

@@ -1,15 +1,15 @@
-// Work-stealing thread pool for running independent simulations in parallel.
+// Thread pool for running independent simulations in parallel.
 //
-// Each worker owns a deque; Submit() distributes tasks round-robin across the
-// deques, a worker pops from the front of its own deque and steals from the
-// back of a sibling's when it runs dry. Tasks are whole simulation runs
-// (milliseconds to seconds of work), so per-deque mutexes — not lock-free
-// deques — are the right complexity point.
+// One FIFO queue under one mutex. Its traffic is a few hundred whole-
+// simulation tasks per batch (sweep cells, or fleet cells per run phase),
+// each milliseconds to seconds of work, so a push and a pop on one lock cost
+// nothing next to the task. Build a pool with MakePool, sized to its batch,
+// and run the batch with RunEach.
 #ifndef SRC_BASE_THREAD_POOL_H_
 #define SRC_BASE_THREAD_POOL_H_
 
-#include <atomic>
 #include <condition_variable>
+#include <cstddef>
 #include <deque>
 #include <functional>
 #include <future>
@@ -43,45 +43,39 @@ class ThreadPool {
     using R = std::invoke_result_t<Fn&>;
     auto task = std::make_shared<std::packaged_task<R()>>(std::forward<Fn>(fn));
     std::future<R> future = task->get_future();
-    DropSpent();
     Push([task] { (*task)(); });
     return future;
   }
 
  private:
-  struct Shard {
-    std::mutex mu;
-    std::deque<std::function<void()>> tasks;
-  };
-
+  // Queues `fn` and destroys the tasks the workers have finished, on the
+  // calling thread.
   void Push(std::function<void()> fn);
-  // Destroys the tasks the workers have finished, on the calling thread.
-  void DropSpent();
-  // Pops from shard `self`'s front, else steals from another shard's back.
-  bool Take(size_t self, std::function<void()>& out);
-  void WorkerLoop(size_t self);
+  void WorkerLoop();
 
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::vector<std::thread> workers_;
-  std::atomic<size_t> next_shard_{0};
-
-  // Sleep/wake protocol: `pending_` counts queued-but-not-started tasks and
-  // is only modified with `sleep_mu_` held, so a worker checking the wait
-  // predicate cannot miss a wakeup.
-  std::mutex sleep_mu_;
+  std::mutex mu_;
   std::condition_variable work_cv_;
-  size_t pending_ = 0;
+  std::deque<std::function<void()>> queue_;
   bool stopping_ = false;
-
-  // Finished tasks, destroyed by the submitting thread (Submit,
-  // ~ThreadPool) and never by a worker. A task owns its future's shared
-  // state and with it any stored exception, so a worker that dropped the
-  // last reference would free an exception the caller may still be reading:
-  // libstdc++ orders that release with refcount atomics that ThreadSanitizer
-  // does not see.
-  std::mutex spent_mu_;
+  // Finished tasks, destroyed by the submitting thread (Push, ~ThreadPool)
+  // and never by a worker. A task owns its future's shared state and with
+  // it any stored exception, so a worker that dropped the last reference
+  // would free an exception the caller may still be reading: libstdc++
+  // orders that release with refcount atomics that ThreadSanitizer does not
+  // see.
   std::vector<std::function<void()>> spent_;
+  std::vector<std::thread> workers_;
 };
+
+// A pool of min(threads, tasks) workers, where threads <= 0 means hardware
+// concurrency; null when that is at most one, so RunEach runs inline.
+std::unique_ptr<ThreadPool> MakePool(int threads, size_t tasks);
+
+// Runs fn(0) ... fn(n - 1): inline and in index order when `pool` is null,
+// otherwise as pool tasks. Every index runs even when some throw; then the
+// lowest throwing index's exception is rethrown, so which error surfaces
+// never depends on worker scheduling.
+void RunEach(ThreadPool* pool, size_t n, const std::function<void(size_t)>& fn);
 
 }  // namespace vsched
 

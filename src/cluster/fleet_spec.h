@@ -3,7 +3,7 @@
 // A FleetSpec names everything the cluster control plane needs: the host
 // shape and count, the VM population (size, Poisson arrival window,
 // exponential lifetimes), the open-loop request traffic each tenant runs,
-// the SLO bound, the placement/provisioning/migration policy knobs, and the
+// the SLO bound, the placement/provisioning/migration knobs, and the
 // energy model. Like RunSpec, a FleetSpec plus a seed fully determines a
 // run: two executions are byte-identical.
 #ifndef SRC_CLUSTER_FLEET_SPEC_H_
@@ -100,10 +100,7 @@ struct FleetSpec {
   TimeNs host_min_granularity = MsToNs(6);
   TimeNs host_wakeup_granularity = MsToNs(6);
 
-  // ---- Placement ----
-  // "greedy-load" (least committed load first, the spreading default) or
-  // "best-fit" (most committed host that still fits, consolidating).
-  std::string placement = "greedy-load";
+  // ---- Placement (least committed load first; src/cluster/placement.h) ----
   // A host accepts vCPU commitments up to threads * overcommit.
   double overcommit = 3.0;
 

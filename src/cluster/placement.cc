@@ -16,12 +16,11 @@ bool Fits(const HostLoadView& host, int vcpus) {
 
 }  // namespace
 
-int GreedyLoadPolicy::Pick(const std::vector<HostLoadView>& hosts, int vcpus,
-                           int exclude_host) const {
+int PickLeastLoaded(const std::vector<HostLoadView>& hosts, int vcpus) {
   int best = -1;
   double best_load = 0;
   for (const HostLoadView& host : hosts) {
-    if (host.host_id == exclude_host || !Fits(host, vcpus)) {
+    if (!Fits(host, vcpus)) {
       continue;
     }
     double load = LoadRatio(host);
@@ -31,33 +30,6 @@ int GreedyLoadPolicy::Pick(const std::vector<HostLoadView>& hosts, int vcpus,
     }
   }
   return best;
-}
-
-int BestFitPolicy::Pick(const std::vector<HostLoadView>& hosts, int vcpus,
-                        int exclude_host) const {
-  int best = -1;
-  double best_load = 0;
-  for (const HostLoadView& host : hosts) {
-    if (host.host_id == exclude_host || !Fits(host, vcpus)) {
-      continue;
-    }
-    double load = LoadRatio(host);
-    if (best == -1 || load > best_load) {  // tie keeps the lowest host id
-      best = host.host_id;
-      best_load = load;
-    }
-  }
-  return best;
-}
-
-std::unique_ptr<PlacementPolicy> MakePlacementPolicy(const std::string& name) {
-  if (name == "greedy-load") {
-    return std::make_unique<GreedyLoadPolicy>();
-  }
-  if (name == "best-fit") {
-    return std::make_unique<BestFitPolicy>();
-  }
-  return nullptr;
 }
 
 }  // namespace vsched

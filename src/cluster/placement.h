@@ -1,20 +1,18 @@
-// Pluggable VM placement policies for the fleet control plane.
+// VM placement for the fleet control plane.
 //
-// A policy sees a load view of every host (power state, committed vCPUs,
-// capacity) and picks the host a VM's vCPUs should be committed to. Both
-// built-in policies are deterministic: ties break on the lowest host id, and
-// the load measure is committed vCPUs (control-plane state), not sampled
-// utilization, so a decision depends only on the event history.
+// Placement sees a load view of every host (power state, committed vCPUs,
+// capacity) and picks the host a VM's vCPUs should be committed to. The rule
+// is deterministic: ties break on the lowest host id, and the load measure is
+// committed vCPUs (control-plane state), not sampled utilization, so a
+// decision depends only on the event history.
 #ifndef SRC_CLUSTER_PLACEMENT_H_
 #define SRC_CLUSTER_PLACEMENT_H_
 
-#include <memory>
-#include <string>
 #include <vector>
 
 namespace vsched {
 
-// What a placement policy may consult about a host.
+// What placement may consult about a host.
 struct HostLoadView {
   int host_id = 0;
   bool accepts_vms = false;  // powered on (not off/booting)
@@ -22,35 +20,10 @@ struct HostLoadView {
   int capacity_vcpus = 0;  // hardware threads * overcommit
 };
 
-class PlacementPolicy {
- public:
-  virtual ~PlacementPolicy() = default;
-
-  // Picks the host to place `vcpus` committed vCPUs on, or -1 when no
-  // accepting host fits. `exclude_host` (-1 for none) removes a host from
-  // consideration (migration sources exclude themselves).
-  virtual int Pick(const std::vector<HostLoadView>& hosts, int vcpus,
-                   int exclude_host = -1) const = 0;
-
-  virtual const char* name() const = 0;
-};
-
-// Least committed load ratio first (spreads; worst-fit flavor).
-class GreedyLoadPolicy : public PlacementPolicy {
- public:
-  int Pick(const std::vector<HostLoadView>& hosts, int vcpus, int exclude_host) const override;
-  const char* name() const override { return "greedy-load"; }
-};
-
-// Highest committed load ratio that still fits (packs; consolidating).
-class BestFitPolicy : public PlacementPolicy {
- public:
-  int Pick(const std::vector<HostLoadView>& hosts, int vcpus, int exclude_host) const override;
-  const char* name() const override { return "best-fit"; }
-};
-
-// Factory for FleetSpec::placement; returns nullptr for an unknown name.
-std::unique_ptr<PlacementPolicy> MakePlacementPolicy(const std::string& name);
+// Picks the accepting host with the least committed load ratio that still
+// fits `vcpus` more committed vCPUs (spreads; worst-fit flavor), or -1 when
+// none fits.
+int PickLeastLoaded(const std::vector<HostLoadView>& hosts, int vcpus);
 
 }  // namespace vsched
 

@@ -1,7 +1,6 @@
 #include "src/cluster/sharded_fleet.h"
 
 #include <algorithm>
-#include <future>
 #include <numeric>
 #include <utility>
 #ifdef __GLIBC__
@@ -192,9 +191,6 @@ ShardedFleet::ShardedFleet(FleetSpec spec, uint64_t seed, VSchedOptions guest_op
   guest_options_.vact.update_interval = spec_.probe_interval;
   guest_options_.rwc.straggler_ratio = spec_.rwc_straggler_ratio;
 
-  placement_ = MakePlacementPolicy(spec_.placement);
-  VSCHED_CHECK_MSG(placement_ != nullptr, "unknown placement policy");
-
   // The cell partition is a pure function of the spec: contiguous
   // cell_hosts-sized ranges, never influenced by `shards`. Cell seeds are
   // drawn from the root stream in cell order, so every cell's RNG stream is
@@ -236,9 +232,7 @@ ShardedFleet::ShardedFleet(FleetSpec spec, uint64_t seed, VSchedOptions guest_op
     cells_.push_back(std::move(cell));
   }
 
-  if (shards_ > 1) {
-    pool_ = std::make_unique<ThreadPool>(shards_);
-  }
+  pool_ = MakePool(shards_, cells_.size());
 }
 
 ShardedFleet::~ShardedFleet() {
@@ -299,8 +293,8 @@ int ShardedFleet::hosts_on() const {
 }
 
 std::vector<HostLoadView> ShardedFleet::LoadViews() const {
-  // Global host-id order (cell-major), so placement policies see the same
-  // candidate sequence however the hosts are partitioned into cells.
+  // Global host-id order (cell-major), so placement sees the same candidate
+  // sequence however the hosts are partitioned into cells.
   std::vector<HostLoadView> views;
   views.reserve(static_cast<size_t>(spec_.hosts));
   int capacity = CapacityVcpus();
@@ -359,7 +353,7 @@ void ShardedFleet::ScheduleArrivals(TimeNs start) {
     }
     tenants_.push_back(std::move(tenant));
     TimeNs due = WindowCeil(at);
-    mailbox_.Post(due, ShardMailbox::kControlPlane, [this, i, due] { OnVmArrival(i, due); });
+    mailbox_.Post(due, [this, i, due] { OnVmArrival(i, due); });
   }
 }
 
@@ -429,40 +423,15 @@ void ShardedFleet::BarrierPhase(TimeNs now) {
 void ShardedFleet::RunCells(TimeNs barrier) {
   // Every cell advances, even on error: a SimBudgetExceeded mid-phase must
   // not leave sibling cells short of the barrier (teardown assumes quiesced
-  // cells). The *lowest-id* failure is rethrown, making the propagated error
-  // independent of worker scheduling; the failed cell's unapplied actions
-  // are dropped with it.
-  std::exception_ptr first_error;
-  if (pool_ == nullptr) {
-    for (auto& cell : cells_) {
-      try {
-        RunCell(cell.get(), barrier);
-      } catch (...) {
-        if (first_error == nullptr) {
-          first_error = std::current_exception();
-        }
-      }
-    }
-  } else {
-    std::vector<std::future<void>> phases;
-    phases.reserve(cells_.size());
-    for (auto& cell : cells_) {
-      FleetCell* c = cell.get();
-      phases.push_back(pool_->Submit([c, barrier] { RunCell(c, barrier); }));
-    }
-    for (auto& phase : phases) {
-      try {
-        phase.get();
-      } catch (...) {
-        if (first_error == nullptr) {
-          first_error = std::current_exception();
-        }
-      }
-    }
-  }
-  if (first_error != nullptr) {
+  // cells). RunEach rethrows the *lowest-id* failure, making the propagated
+  // error independent of worker scheduling; the failed cell's unapplied
+  // actions are dropped with it.
+  try {
+    RunEach(pool_.get(), cells_.size(),
+            [this, barrier](size_t c) { RunCell(cells_[c].get(), barrier); });
+  } catch (...) {
     aborted_ = true;
-    std::rethrow_exception(first_error);
+    throw;
   }
 }
 
@@ -495,7 +464,7 @@ void ShardedFleet::OnVmArrival(int tenant_id, TimeNs now) {
 }
 
 bool ShardedFleet::TryPlace(TenantVm* tenant, TimeNs now) {
-  int host_id = placement_->Pick(LoadViews(), spec_.vcpus_per_vm);
+  int host_id = PickLeastLoaded(LoadViews(), spec_.vcpus_per_vm);
   if (host_id < 0) {
     return false;
   }
@@ -504,7 +473,7 @@ bool ShardedFleet::TryPlace(TenantVm* tenant, TimeNs now) {
       ReserveHostThreads(spec_, topology_->num_threads(), MutableHost(host_id), spec_.vcpus_per_vm);
   int id = tenant->id;
   std::vector<HwThreadId> tids = tenant->tids;
-  CellOfHost(host_id)->inbox.Post(now, ShardMailbox::kControlPlane, [this, id, host_id, tids] {
+  CellOfHost(host_id)->inbox.Post(now, [this, id, host_id, tids] {
     BuildTenantStack(id, host_id, tids);
   });
 
@@ -512,7 +481,7 @@ bool ShardedFleet::TryPlace(TenantVm* tenant, TimeNs now) {
   totals_.vms_placed += 1;
   if (tenant->departs_at > 0) {
     TimeNs due = std::max(WindowCeil(tenant->departs_at), now + window_);
-    mailbox_.Post(due, ShardMailbox::kControlPlane, [this, id, due] { OnDepartureDue(id, due); });
+    mailbox_.Post(due, [this, id, due] { OnDepartureDue(id, due); });
   }
   return true;
 }
@@ -611,7 +580,7 @@ void ShardedFleet::BootHostsIfNeeded(TimeNs now) {
       free_commits += capacity;
       int id = host->id;
       TimeNs due = now + spec_.boot_delay;  // boot_delay is a multiple of the window
-      mailbox_.Post(due, ShardMailbox::kControlPlane, [this, id, due] { OnBootComplete(id, due); });
+      mailbox_.Post(due, [this, id, due] { OnBootComplete(id, due); });
     }
   }
 }
@@ -726,8 +695,8 @@ void ShardedFleet::MaybeConsolidate(TimeNs now) {
     return;  // everything on the host is already in flight
   }
   // Best-fit within the source's cell: the most-committed On host that still
-  // fits the VM, independent of the arrival-placement policy. Asking the
-  // spreading policy here is self-defeating: it returns the *least*
+  // fits the VM, independent of arrival placement. Asking the spreading
+  // PickLeastLoaded here is self-defeating: it returns the *least*
   // committed host, which is never strictly busier than a drain source, so
   // consolidation silently never fires (a rack-preset benchmark once sat at
   // zero migrations for exactly this reason).
@@ -753,7 +722,7 @@ void ShardedFleet::MaybeConsolidate(TimeNs now) {
   int id = mover->id;
   // Pre-copy phase: the VM keeps running on the source for the copy latency.
   TimeNs due = now + spec_.migration_copy_latency;  // a multiple of the window
-  mailbox_.Post(due, ShardMailbox::kControlPlane, [this, id, due] { OnMigrationDowntime(id, due); });
+  mailbox_.Post(due, [this, id, due] { OnMigrationDowntime(id, due); });
 }
 
 void ShardedFleet::OnMigrationDowntime(int tenant_id, TimeNs now) {
@@ -769,12 +738,11 @@ void ShardedFleet::OnMigrationDowntime(int tenant_id, TimeNs now) {
     return;
   }
   // Downtime blackout: paused vCPUs stay attached (guest sees steal).
-  CellOfHost(tenant->host_id)->inbox.Post(now, ShardMailbox::kControlPlane, [this, tenant_id] {
+  CellOfHost(tenant->host_id)->inbox.Post(now, [this, tenant_id] {
     tenants_[static_cast<size_t>(tenant_id)]->vm->SetPausedAll(true);
   });
   TimeNs due = now + spec_.migration_downtime;
-  mailbox_.Post(due, ShardMailbox::kControlPlane,
-                [this, tenant_id, due] { OnMigrationCommit(tenant_id, due); });
+  mailbox_.Post(due, [this, tenant_id, due] { OnMigrationCommit(tenant_id, due); });
 }
 
 void ShardedFleet::OnMigrationCommit(int tenant_id, TimeNs now) {
@@ -785,10 +753,9 @@ void ShardedFleet::OnMigrationCommit(int tenant_id, TimeNs now) {
   VSCHED_CHECK(CellOfHost(dst) == CellOfHost(src));  // cell == migration domain
   std::vector<HwThreadId> src_tids = tenant->tids;
   std::vector<HwThreadId> dst_tids = tenant->mig_dest_tids;
-  CellOfHost(src)->inbox.Post(
-      now, ShardMailbox::kControlPlane, [this, tenant_id, src, src_tids, dst, dst_tids] {
-        CommitMigration(tenant_id, src, src_tids, dst, dst_tids);
-      });
+  CellOfHost(src)->inbox.Post(now, [this, tenant_id, src, src_tids, dst, dst_tids] {
+    CommitMigration(tenant_id, src, src_tids, dst, dst_tids);
+  });
   ReleaseHostCommits(MutableHost(src), tenant->tids, now);
   tenant->host_id = dst;
   tenant->tids = std::move(tenant->mig_dest_tids);
@@ -829,7 +796,7 @@ void ShardedFleet::DoDepart(TenantVm* tenant, TimeNs now) {
   int id = tenant->id;
   int host_id = tenant->host_id;
   std::vector<HwThreadId> tids = tenant->tids;
-  CellOfHost(host_id)->inbox.Post(now, ShardMailbox::kControlPlane,
+  CellOfHost(host_id)->inbox.Post(now,
                                   [this, id, host_id, tids] { TearDownTenant(id, host_id, tids); });
   ReleaseHostCommits(MutableHost(host_id), tenant->tids, now);
   tenant->departed = true;

@@ -4,12 +4,12 @@
 //
 // The model. A ShardedFleet owns ClusterHosts (HostMachine + power state +
 // energy/utilization accounting) and TenantVms (Vm + guest kernel + VSched +
-// an open-loop LatencyApp). VM arrivals are a Poisson process, placement is
-// a pluggable policy (src/cluster/placement.h), provisioning is reactive
-// (hosts boot on demand, idle hosts power down), and consolidation drains
-// under-committed hosts via live migration modeled as a (copy-latency,
-// downtime) pair — during downtime the VM's vCPU threads are paused, which
-// the guest observes as steal.
+// an open-loop LatencyApp). VM arrivals are a Poisson process, placement
+// picks the least-loaded host (src/cluster/placement.h), provisioning is
+// reactive (hosts boot on demand, idle hosts power down), and consolidation
+// drains under-committed hosts via live migration modeled as a
+// (copy-latency, downtime) pair — during downtime the VM's vCPU threads are
+// paused, which the guest observes as steal.
 //
 // Partitioning. Hosts are grouped into fixed *cells* of
 // FleetSpec::cell_hosts contiguous hosts. Each cell is one logical process:
@@ -26,8 +26,8 @@
 // busy state), at the RunUntil deadline, and at Finish. Between two barriers
 // the coordinator plans and the cells apply:
 //  - Planning. Before a run phase the single-threaded coordinator drains the
-//    ShardMailbox up to the next barrier, in canonical (due, origin, seq)
-//    order: arrivals, boot completions, migration phases, departures. Its
+//    ShardMailbox up to the next barrier, in canonical (due, post order):
+//    arrivals, boot completions, migration phases, departures. Its
 //    handlers do control-plane bookkeeping only. Placement reads LoadViews
 //    (power and commits), consolidation reads commits and tenant flags, and
 //    power-down reads idle_since, so no handler needs a cell to have reached
@@ -36,10 +36,11 @@
 //    tenant id, host id and thread ids it was planned with, because by the
 //    time the cell applies it the coordinator's copies may hold a later
 //    instant's values.
-//  - Applying. Each cell runs to the barrier on its own: worker threads from
-//    the runner's pool when --shards > 1, in cell order on the caller's
-//    thread otherwise. It stops at each action's instant and applies every
-//    action due there, together, before it runs anything later.
+//  - Applying. Each cell runs to the barrier on its own: on the fleet's
+//    min(--shards, cells) worker threads when that is more than one, in cell
+//    order on the caller's thread otherwise. It stops at each action's
+//    instant and applies every action due there, together, before it runs
+//    anything later.
 //  - The barrier. Every cell stands at exactly now() == T with every action
 //    due at or before T applied. The coordinator folds the harvests of the
 //    tenants that departed since the last barrier, runs the control tick on
@@ -206,12 +207,13 @@ struct FleetCell {
 
 class ShardedFleet {
  public:
-  // `shards` is the worker-thread count (>= 1); 1 runs cells sequentially on
-  // the calling thread. The cell partition comes from spec.cell_hosts and is
-  // independent of `shards`. `guest_options` selects the per-guest scheduler
-  // stack (Cfs vs Full — the head-to-head axis). `fault_plan` (may be null)
-  // arms machine-level chaos on every fourth host, or one adversarial
-  // co-tenant on every host for an adversary plan, with no VM bound.
+  // `shards` (>= 1) caps the worker threads, which are min(shards, cells);
+  // one runs cells sequentially on the calling thread. The cell partition
+  // comes from spec.cell_hosts and is independent of `shards`.
+  // `guest_options` selects the per-guest scheduler stack (Cfs vs Full — the
+  // head-to-head axis). `fault_plan` (may be null) arms machine-level chaos
+  // on every fourth host, or one adversarial co-tenant on every host for an
+  // adversary plan, with no VM bound.
   // `tickless` sets GuestParams::tickless and HostSchedParams::tickless for
   // every host and guest; `false` is only the ticking reference of the
   // TicklessTwin tests (tests/runner/tickless_twin_test.cc).
@@ -307,7 +309,6 @@ class ShardedFleet {
   std::shared_ptr<const HostTopology> topology_;
   std::shared_ptr<const HostSchedParams> host_params_;
   std::shared_ptr<const GuestParams> guest_params_;
-  std::unique_ptr<PlacementPolicy> placement_;
 
   // Cells before tenants_: tenants hold Vms whose vCPU threads detach from
   // cell-owned machines at destruction, so tenants must be destroyed first
@@ -317,7 +318,7 @@ class ShardedFleet {
   std::deque<int> pending_;  // arrived but unplaced tenant ids, FIFO
   std::vector<int> unfolded_departures_;  // departure order since the last fold
   ShardMailbox mailbox_;
-  std::unique_ptr<ThreadPool> pool_;  // null when shards_ == 1
+  std::unique_ptr<ThreadPool> pool_;  // min(shards_, cells) workers; null when 1
 
   TimeNs start_time_ = 0;
   TimeNs now_ = 0;  // the last barrier every cell has reached

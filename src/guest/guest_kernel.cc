@@ -7,7 +7,6 @@
 #include "src/base/audit.h"
 #include "src/base/check.h"
 #include "src/base/decay.h"
-#include "src/base/log.h"
 #include "src/base/perf_counters.h"
 #include "src/host/machine.h"
 #include "src/sim/simulation.h"

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "src/base/check.h"
-#include "src/base/log.h"
 #include "src/guest/guest_kernel.h"
 #include "src/sim/simulation.h"
 
@@ -543,10 +542,9 @@ void Vtop::ValidationBatchStep(size_t batch_index) {
   auto outstanding = std::make_shared<int>(static_cast<int>(batch.size()));
   for (const Expectation& e : batch) {
     VcpuRelation expect = e.expect;
-    ProbePair(e.a, e.b, [this, expect, outstanding, batch_index, a = e.a, b = e.b](double lat) {
+    ProbePair(e.a, e.b, [this, expect, outstanding, batch_index](double lat) {
       if (Classify(lat) != expect) {
         validation_ok_ = false;
-        VSCHED_LOG(kInfo) << "vtop validation mismatch on pair (" << a << "," << b << ")";
       }
       if (--*outstanding == 0) {
         ValidationBatchStep(batch_index + 1);

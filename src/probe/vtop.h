@@ -80,8 +80,6 @@ class Vtop {
   // layer is disabled. Fed by per-probe sample survival and by validation
   // outcomes (a failed validation scores 0, a passed one scores 1).
   double TopologyConfidence() const;
-  // Consecutive validation failures since the last pass (bounded re-probes).
-  int consecutive_failed_validations() const { return reprobe_count_; }
   // Backoff re-probes scheduled so far (for tests/metrics).
   int reprobes_scheduled() const { return reprobes_scheduled_; }
 

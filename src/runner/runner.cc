@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <exception>
-#include <future>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -107,41 +107,18 @@ RunResult Runner::RunOne(const RunSpec& spec, int index, const RunnerOptions& op
 }
 
 std::vector<RunResult> Runner::Run(const ExperimentSpec& experiment) {
-  std::vector<RunResult> results;
-  results.reserve(experiment.runs.size());
-
-  if (options_.jobs == 1) {
-    for (size_t i = 0; i < experiment.runs.size(); ++i) {
-      results.push_back(RunOne(experiment.runs[i], static_cast<int>(i), options_));
-      if (options_.on_run_done) {
-        options_.on_run_done(results.back());
-      }
-    }
-    return results;
-  }
-
+  size_t n = experiment.runs.size();
+  std::vector<RunResult> results(n);
   std::mutex progress_mu;
-  std::vector<std::future<RunResult>> futures;
-  futures.reserve(experiment.runs.size());
-  {
-    ThreadPool pool(options_.jobs);
-    for (size_t i = 0; i < experiment.runs.size(); ++i) {
-      const RunSpec& spec = experiment.runs[i];
-      int index = static_cast<int>(i);
-      futures.push_back(pool.Submit([this, &spec, index, &progress_mu] {
-        RunResult result = RunOne(spec, index, options_);
-        if (options_.on_run_done) {
-          std::lock_guard<std::mutex> lock(progress_mu);
-          options_.on_run_done(result);
-        }
-        return result;
-      }));
+  std::unique_ptr<ThreadPool> pool = MakePool(options_.jobs, n);
+  // Results land in spec order; output is independent of completion order.
+  RunEach(pool.get(), n, [&](size_t i) {
+    results[i] = RunOne(experiment.runs[i], static_cast<int>(i), options_);
+    if (options_.on_run_done) {
+      std::lock_guard<std::mutex> lock(progress_mu);
+      options_.on_run_done(results[i]);
     }
-    // Collect in spec order; output is independent of completion order.
-    for (std::future<RunResult>& future : futures) {
-      results.push_back(future.get());
-    }
-  }
+  });
   return results;
 }
 

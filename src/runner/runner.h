@@ -48,8 +48,8 @@ struct RunResult {
 };
 
 struct RunnerOptions {
-  // Worker threads; 0 picks hardware concurrency, 1 runs inline on the
-  // calling thread (the serial reference path).
+  // Worker threads, never more than the runs; 0 picks hardware concurrency.
+  // One runs inline on the calling thread (the serial reference path).
   int jobs = 0;
   // A run whose execution throws is retried until it has been attempted
   // this many times; deterministic failures simply fail fast again, and

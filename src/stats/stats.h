@@ -102,8 +102,6 @@ class TimeSeries {
  public:
   void Add(TimeNs t, double value);
   size_t size() const { return points_.size(); }
-  TimeNs time_at(size_t i) const { return points_[i].first; }
-  double value_at(size_t i) const { return points_[i].second; }
   // Mean of values with time in [from, to).
   double MeanInWindow(TimeNs from, TimeNs to) const;
 

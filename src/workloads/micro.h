@@ -43,8 +43,6 @@ class Hackbench : public Workload {
   void ResetStats() override;
   WorkloadResult Result() const override;
 
-  uint64_t messages_done() const { return messages_done_; }
-
  private:
   class SenderBehavior;
   class ReceiverBehavior;

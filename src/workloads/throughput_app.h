@@ -111,8 +111,6 @@ class PipelineApp : public Workload {
   void ResetStats() override;
   WorkloadResult Result() const override;
 
-  uint64_t items_done() const { return items_done_; }
-
  private:
   class StageWorkerBehavior;
   struct Item {

@@ -1,21 +1,9 @@
 #include <gtest/gtest.h>
 
 #include "src/base/check.h"
-#include "src/base/log.h"
 
 namespace vsched {
 namespace {
-
-TEST(LogTest, LevelFilterRoundTrips) {
-  LogLevel original = GetLogLevel();
-  SetLogLevel(LogLevel::kError);
-  EXPECT_EQ(GetLogLevel(), LogLevel::kError);
-  // Filtered-out logging must be side-effect free (smoke).
-  VSCHED_LOG(kDebug) << "suppressed " << 42;
-  SetLogLevel(LogLevel::kNone);
-  VSCHED_LOG(kError) << "also suppressed";
-  SetLogLevel(original);
-}
 
 TEST(CheckTest, PassingCheckIsSilent) {
   VSCHED_CHECK(1 + 1 == 2);

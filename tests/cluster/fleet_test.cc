@@ -1,6 +1,5 @@
 // Fleet lifecycle, replay and placement on the fleet engine at one shard.
 // tests/cluster/sharded_fleet_test.cc covers the shard-count contract.
-#include <algorithm>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -124,33 +123,6 @@ TEST(Fleet, TenantDepartsMidFullProbe) {
   }
   fleet.Finish();
   EXPECT_GT(departed_mid_probe, 0);
-}
-
-// Returns the largest per-host committed-vCPU count at the horizon.
-int MaxCommitted(const FleetSpec& spec, uint64_t seed = kSeed) {
-  ShardedFleet fleet(spec, seed, VSchedOptions::Cfs(), /*shards=*/1);
-  fleet.RunUntil(MsToNs(400));
-  // Sample commits before Finish(): teardown vacates every tenant's threads.
-  int max_committed = 0;
-  for (int id = 0; id < spec.hosts; ++id) {
-    max_committed = std::max(max_committed, fleet.host(id).committed_vcpus);
-  }
-  fleet.Finish();
-  EXPECT_EQ(fleet.totals().vms_placed, 10);
-  return max_committed;
-}
-
-TEST(Fleet, BestFitPlacementConcentratesLoad) {
-  FleetSpec spread = Tiny();
-  spread.vm_lifetime_mean = 0;   // keep everyone alive: pure placement test
-  spread.consolidate_below = 0;  // no migration assist either
-  FleetSpec packed = spread;
-  packed.placement = "best-fit";
-
-  // best-fit drives its fullest host strictly higher than the spreading
-  // default does (tiny: 20 vCPUs over two On hosts of capacity 12 end up
-  // 12/8 packed vs. 10/10 spread), which is the point of the policy axis.
-  EXPECT_GT(MaxCommitted(packed), MaxCommitted(spread));
 }
 
 TEST(Fleet, FaultPlanAppliesAndReplays) {

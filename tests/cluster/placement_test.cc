@@ -15,82 +15,38 @@ HostLoadView Host(int id, bool on, int committed, int capacity) {
 }
 
 TEST(GreedyLoad, PicksLeastCommittedRatio) {
-  GreedyLoadPolicy policy;
   std::vector<HostLoadView> hosts = {
       Host(0, true, 12, 16),
       Host(1, true, 4, 16),
       Host(2, true, 8, 16),
   };
-  EXPECT_EQ(policy.Pick(hosts, 4, -1), 1);
+  EXPECT_EQ(PickLeastLoaded(hosts, 4), 1);
 }
 
 TEST(GreedyLoad, TiesBreakOnLowestHostId) {
-  GreedyLoadPolicy policy;
   std::vector<HostLoadView> hosts = {
       Host(0, true, 4, 16),
       Host(1, true, 4, 16),
       Host(2, true, 4, 16),
   };
-  EXPECT_EQ(policy.Pick(hosts, 2, -1), 0);
+  EXPECT_EQ(PickLeastLoaded(hosts, 2), 0);
 }
 
 TEST(GreedyLoad, SkipsPoweredOffAndFullHosts) {
-  GreedyLoadPolicy policy;
   std::vector<HostLoadView> hosts = {
       Host(0, false, 0, 16),   // off: most attractive load, but not accepting
       Host(1, true, 15, 16),   // on, but 4 vCPUs do not fit
       Host(2, true, 10, 16),
   };
-  EXPECT_EQ(policy.Pick(hosts, 4, -1), 2);
-}
-
-TEST(GreedyLoad, HonorsExcludeHost) {
-  GreedyLoadPolicy policy;
-  std::vector<HostLoadView> hosts = {
-      Host(0, true, 2, 16),
-      Host(1, true, 6, 16),
-  };
-  EXPECT_EQ(policy.Pick(hosts, 2, /*exclude_host=*/0), 1);
+  EXPECT_EQ(PickLeastLoaded(hosts, 4), 2);
 }
 
 TEST(GreedyLoad, ReturnsMinusOneWhenNothingFits) {
-  GreedyLoadPolicy policy;
   std::vector<HostLoadView> hosts = {
       Host(0, false, 0, 16),
       Host(1, true, 14, 16),
   };
-  EXPECT_EQ(policy.Pick(hosts, 4, -1), -1);
-}
-
-TEST(BestFit, PicksMostCommittedThatStillFits) {
-  BestFitPolicy policy;
-  std::vector<HostLoadView> hosts = {
-      Host(0, true, 4, 16),
-      Host(1, true, 13, 16),  // fullest, but 4 vCPUs do not fit
-      Host(2, true, 10, 16),  // fullest that fits
-  };
-  EXPECT_EQ(policy.Pick(hosts, 4, -1), 2);
-}
-
-TEST(BestFit, TiesBreakOnLowestHostId) {
-  BestFitPolicy policy;
-  std::vector<HostLoadView> hosts = {
-      Host(0, true, 8, 16),
-      Host(1, true, 8, 16),
-  };
-  EXPECT_EQ(policy.Pick(hosts, 4, -1), 0);
-}
-
-TEST(PlacementFactory, KnownNamesAndUnknownName) {
-  auto greedy = MakePlacementPolicy("greedy-load");
-  ASSERT_NE(greedy, nullptr);
-  EXPECT_STREQ(greedy->name(), "greedy-load");
-
-  auto best = MakePlacementPolicy("best-fit");
-  ASSERT_NE(best, nullptr);
-  EXPECT_STREQ(best->name(), "best-fit");
-
-  EXPECT_EQ(MakePlacementPolicy("round-robin"), nullptr);
+  EXPECT_EQ(PickLeastLoaded(hosts, 4), -1);
 }
 
 }  // namespace

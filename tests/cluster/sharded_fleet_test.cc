@@ -59,16 +59,16 @@ void ExpectTotalsEqual(const FleetTotals& a, const FleetTotals& b) {
   EXPECT_EQ(a.quarantine_events, b.quarantine_events);
 }
 
-TEST(ShardMailbox, DrainsInCanonicalDueOriginSeqOrder) {
+TEST(ShardMailbox, DrainsInDueThenPostOrder) {
   ShardMailbox mailbox;
   std::vector<int> order;
-  // Posted deliberately out of order: a later due first, two origins
-  // interleaved at the same due, and same-origin messages relying on seq.
-  mailbox.Post(MsToNs(2), ShardMailbox::kControlPlane, [&] { order.push_back(5); });
-  mailbox.Post(MsToNs(1), 1, [&] { order.push_back(3); });
-  mailbox.Post(MsToNs(1), ShardMailbox::kControlPlane, [&] { order.push_back(1); });
-  mailbox.Post(MsToNs(1), 1, [&] { order.push_back(4); });
-  mailbox.Post(MsToNs(1), ShardMailbox::kControlPlane, [&] { order.push_back(2); });
+  // Posted deliberately out of due order: a later due first, then four
+  // messages at one due that must apply in the order they were posted.
+  mailbox.Post(MsToNs(2), [&] { order.push_back(5); });
+  mailbox.Post(MsToNs(1), [&] { order.push_back(1); });
+  mailbox.Post(MsToNs(1), [&] { order.push_back(2); });
+  mailbox.Post(MsToNs(1), [&] { order.push_back(3); });
+  mailbox.Post(MsToNs(1), [&] { order.push_back(4); });
   EXPECT_EQ(mailbox.next_due(), MsToNs(1));
 
   EXPECT_EQ(mailbox.DrainUpTo(MsToNs(1)), 4u);
@@ -81,11 +81,11 @@ TEST(ShardMailbox, DrainsInCanonicalDueOriginSeqOrder) {
 TEST(ShardMailbox, FollowUpPostsDeliverInTheSameDrain) {
   ShardMailbox mailbox;
   std::vector<int> order;
-  mailbox.Post(MsToNs(1), ShardMailbox::kControlPlane, [&] {
+  mailbox.Post(MsToNs(1), [&] {
     order.push_back(1);
     // A handler chaining another same-barrier action (boot completing and
     // immediately placing, say) must not wait a whole extra window.
-    mailbox.Post(MsToNs(1), ShardMailbox::kControlPlane, [&] { order.push_back(2); });
+    mailbox.Post(MsToNs(1), [&] { order.push_back(2); });
   });
   EXPECT_EQ(mailbox.DrainUpTo(MsToNs(1)), 2u);
   EXPECT_EQ(order, (std::vector<int>{1, 2}));

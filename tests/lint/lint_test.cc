@@ -228,7 +228,7 @@ TEST(LintMutableGlobal, AllowsConstConstexprAndSrcBase) {
       "inline constexpr double kScale = 1024.0;\n"
       "}\n";
   EXPECT_FALSE(HasRule(LintFile("src/guest/a.h", ok), "mutable-global"));
-  // src/base owns process-wide state (log level, perf counters, audit flag).
+  // src/base owns process-wide state (perf counters, audit flag).
   EXPECT_FALSE(HasRule(LintFile("src/base/log.cc",
                                 "namespace vsched {\nLogLevel g_level = LogLevel::kWarn;\n}\n"),
                        "mutable-global"));

@@ -32,7 +32,7 @@ TEST(LintShardCrossing, FlagsFleetCellPointerInMailboxMessage) {
   const std::string snippet =
       "void ShardedFleet::ScheduleCommit(int host_id, TimeNs due) {\n"
       "  FleetCell* cell = CellOfHost(host_id);\n"
-      "  mailbox_.Post(due, ShardMailbox::kControlPlane, [this, cell, due] {\n"
+      "  mailbox_.Post(due, [this, cell, due] {\n"
       "    cell->counters.timer_arms += 1;\n"
       "  });\n"
       "}\n";
@@ -52,7 +52,7 @@ TEST(LintShardCrossing, FlagsSimulationReferenceCapture) {
   const std::string snippet =
       "void ShardedFleet::ScheduleTick(int cell_id, TimeNs due) {\n"
       "  Simulation& sim = CellSim(cell_id);\n"
-      "  mailbox_.Post(due, ShardMailbox::kControlPlane, [this, &sim, due] {\n"
+      "  mailbox_.Post(due, [this, &sim, due] {\n"
       "    sim.Step();\n"
       "  });\n"
       "}\n";
@@ -65,7 +65,7 @@ TEST(LintShardCrossing, PassesIdCaptureReresolvedAtDelivery) {
   // through the coordinator at delivery time.
   const std::string snippet =
       "void ShardedFleet::ScheduleBoot(int id, TimeNs due) {\n"
-      "  mailbox_.Post(due, ShardMailbox::kControlPlane,\n"
+      "  mailbox_.Post(due,\n"
       "                [this, id, due] { OnBootComplete(id, due); });\n"
       "}\n";
   EXPECT_TRUE(LintFile("src/cluster/sharded_fleet.cc", snippet).empty());

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -121,20 +122,79 @@ TEST(ThreadPoolTest, WorkersRunConcurrently) {
   EXPECT_EQ(started.load(), 2);
 }
 
-TEST(ThreadPoolTest, IdleWorkersStealQueuedWork) {
-  // With 4 workers and round-robin placement, a backlog submitted at once
-  // lands on every shard; all of it must complete even though 3 of the 4
-  // shards' owners race the others for it.
+// RunEach's two paths: inline (a null pool, the serial reference) and pooled.
+TEST(ThreadPoolTest, RunEachRunsEveryIndexExactlyOnce) {
   ThreadPool pool(4);
-  std::atomic<int> done{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 128; ++i) {
-    futures.push_back(pool.Submit([&done] { done.fetch_add(1); }));
+  for (ThreadPool* path : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    std::vector<std::atomic<int>> runs(100);
+    RunEach(path, runs.size(), [&runs](size_t i) { runs[i].fetch_add(1); });
+    for (size_t i = 0; i < runs.size(); ++i) {
+      EXPECT_EQ(runs[i].load(), 1) << "index " << i << (path == nullptr ? " inline" : " pooled");
+    }
   }
-  for (auto& future : futures) {
-    future.get();
+}
+
+TEST(ThreadPoolTest, RunEachInlineRunsInIndexOrderOnTheCallingThread) {
+  std::vector<size_t> order;
+  std::thread::id caller = std::this_thread::get_id();
+  RunEach(nullptr, 6, [&order, caller](size_t i) {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    order.push_back(i);
+  });
+  EXPECT_EQ(order, (std::vector<size_t>{0, 1, 2, 3, 4, 5}));
+}
+
+TEST(ThreadPoolTest, RunEachRunsEveryIndexThenRethrowsTheLowestThrowingOne) {
+  ThreadPool pool(4);
+  for (ThreadPool* path : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    std::vector<std::atomic<int>> runs(8);
+    std::atomic<bool> five_threw{false};
+    try {
+      RunEach(path, runs.size(), [&runs, &five_threw, path](size_t i) {
+        runs[i].fetch_add(1);
+        if (i == 5) {
+          five_threw = true;
+          throw std::runtime_error("index 5");
+        }
+        if (i == 2) {
+          // Pooled, index 2 throws only after index 5 has, so the rethrown
+          // error must be chosen by index, not by the time it was thrown.
+          auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+          while (path != nullptr && !five_threw.load() &&
+                 std::chrono::steady_clock::now() < deadline) {
+            std::this_thread::yield();
+          }
+          throw std::runtime_error("index 2");
+        }
+      });
+      ADD_FAILURE() << "RunEach swallowed the errors";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "index 2");
+    }
+    for (size_t i = 0; i < runs.size(); ++i) {
+      EXPECT_EQ(runs[i].load(), 1) << "index " << i << (path == nullptr ? " inline" : " pooled");
+    }
   }
-  EXPECT_EQ(done.load(), 128);
+}
+
+TEST(ThreadPoolTest, MakePoolSizesToTheBatch) {
+  EXPECT_EQ(MakePool(1, 100), nullptr);
+  EXPECT_EQ(MakePool(4, 1), nullptr);
+  EXPECT_EQ(MakePool(4, 0), nullptr);
+  std::unique_ptr<ThreadPool> pool = MakePool(8, 3);
+  ASSERT_NE(pool, nullptr);
+  EXPECT_EQ(pool->size(), 3);
+  pool = MakePool(2, 100);
+  ASSERT_NE(pool, nullptr);
+  EXPECT_EQ(pool->size(), 2);
+  // 0 means hardware concurrency, still capped by the batch.
+  pool = MakePool(0, 2);
+  if (std::thread::hardware_concurrency() >= 2) {
+    ASSERT_NE(pool, nullptr);
+    EXPECT_EQ(pool->size(), 2);
+  } else {
+    EXPECT_EQ(pool, nullptr);
+  }
 }
 
 }  // namespace
