@@ -423,7 +423,6 @@ int main(int argc, char** argv) {
     uint64_t picks = 0;
     uint64_t timer_fires = 0;
     uint64_t ticks_elided = 0;
-    uint64_t barriers = 0;
     for (const RunResult& result : results) {
       events += result.counters.events_executed;
       cb_heap_allocs += result.counters.callback_heap_allocs;
@@ -431,7 +430,6 @@ int main(int argc, char** argv) {
       picks += result.counters.rq_picks;
       timer_fires += result.counters.timer_fires;
       ticks_elided += result.counters.ticks_elided;
-      barriers += result.counters.fleet_barriers;
     }
     double secs = static_cast<double>(elapsed.count()) / 1e9;
     const uint64_t dispatches = events + timer_fires;
@@ -448,10 +446,6 @@ int main(int argc, char** argv) {
     std::fprintf(human, "timers: %llu fires, %llu ticks elided\n",
                  static_cast<unsigned long long>(timer_fires),
                  static_cast<unsigned long long>(ticks_elided));
-    if (barriers > 0) {
-      std::fprintf(human, "fleet: %llu barriers (all cells stopped for the coordinator)\n",
-                   static_cast<unsigned long long>(barriers));
-    }
   }
   return failed == 0 ? 0 : 1;
 }

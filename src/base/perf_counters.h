@@ -43,10 +43,6 @@ struct PerfCounters {
   // ticks on inactive vCPUs, dormant host bandwidth refills).
   uint64_t ticks_elided = 0;
 
-  // Sharded fleet barriers: the instants at which every cell stopped for the
-  // coordinator (control ticks, RunUntil deadlines; src/cluster/).
-  uint64_t fleet_barriers = 0;
-
   void Reset() { *this = PerfCounters{}; }
 
   // Accumulates another tally into this one — how the sharded fleet engine
@@ -65,7 +61,6 @@ struct PerfCounters {
     timer_cancels += other.timer_cancels;
     timer_cascades += other.timer_cascades;
     ticks_elided += other.ticks_elided;
-    fleet_barriers += other.fleet_barriers;
   }
 
   // The thread's active counters; never null (falls back to a per-thread

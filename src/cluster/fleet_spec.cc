@@ -44,7 +44,7 @@ FleetSpec TinyFleet() {
   spec.migration_copy_latency = MsToNs(10);
   spec.migration_downtime = MsToNs(1);
   // Two 2-host cells: even the CI smoke preset exercises the multi-cell
-  // barrier/mailbox machinery of --shards (and cross-cell placement).
+  // inbox/mailbox machinery of --shards (and cross-cell placement).
   spec.cell_hosts = 2;
   return spec;
 }

@@ -111,15 +111,16 @@ bool FleetInjectorHost(int host_id, const FaultPlan& plan) {
   return FleetChaosHost(host_id);
 }
 
-// Runs one cell to `barrier`, applying its inbox on the way (see
+// Runs one cell to `deadline`, applying its inbox on the way (see
 // "Synchronization" in sharded_fleet.h).
-void RunCell(FleetCell* cell, TimeNs barrier) {
+void RunCell(FleetCell* cell, TimeNs deadline) {
   PerfCounters::Scope scope(&cell->counters);
-  // Actions planned for the instant the cell already stands at (a control
-  // tick's placements) apply before anything at that instant runs.
+  // Actions planned for the instant the cell already stands at (the
+  // arrivals at t = 0, Finish's closing sample) apply before anything at
+  // that instant runs.
   cell->inbox.DrainUpTo(cell->sim->now());
-  while (cell->sim->now() < barrier) {
-    TimeNs at = std::min(cell->inbox.next_due(), barrier);
+  while (cell->sim->now() < deadline) {
+    TimeNs at = std::min(cell->inbox.next_due(), deadline);
     cell->sim->RunUntil(at);
     cell->inbox.DrainUpTo(at);
   }
@@ -237,11 +238,8 @@ ShardedFleet::ShardedFleet(FleetSpec spec, uint64_t seed, VSchedOptions guest_op
 
 ShardedFleet::~ShardedFleet() {
   if (started_ && !finished_) {
-    // An aborted run (budget trip mid-phase) still tears tenants down in
+    // An aborted run (budget trip mid-run) still tears tenants down in
     // deterministic order and freezes totals.
-    for (const auto& cell : cells_) {
-      now_ = std::max(now_, cell->sim->now());
-    }
     Finish();
   }
   if (pool_ != nullptr) {
@@ -363,7 +361,7 @@ void ShardedFleet::Run(TimeNs horizon) {
 }
 
 void ShardedFleet::RunUntil(TimeNs deadline) {
-  VSCHED_CHECK_MSG(!finished_, "ShardedFleet::RunUntil after Finish");
+  VSCHED_CHECK_MSG(!finished_ && !aborted_, "ShardedFleet::RunUntil after Finish or an abort");
   if (!started_) {
     started_ = true;
     start_time_ = 0;
@@ -379,73 +377,67 @@ void ShardedFleet::RunUntil(TimeNs deadline) {
       }
     }
     ScheduleArrivals(start_time_);
-    mailbox_.DrainUpTo(now_);
-    BarrierPhase(now_);
+  } else if (deadline <= now_) {
+    return;
   }
 
-  // Barriers fall only on control ticks and on `deadline`. Before each run
-  // phase the coordinator plans the whole stretch (now_, next]: it drains
-  // the mailbox up to `next`, turning every cell effect into an inbox
-  // action, and the cells then apply those actions as they run to `next`.
-  while (now_ < deadline) {
-    TimeNs next = std::min(NextControlTickAfter(now_), deadline);
-    mailbox_.DrainUpTo(next);
-    RunCells(next);
-    now_ = next;
-    BarrierPhase(now_);
+  // Plan the whole stretch (now_, deadline] on the coordinator: each control
+  // tick after the mailbox messages due by its instant, then the rest of the
+  // stretch. Every cell effect, the ticks' samples included, becomes an
+  // inbox action; nothing here reads a cell.
+  for (TimeNs tick = NextControlTickAfter(now_); tick <= deadline;
+       tick += spec_.control_period) {
+    mailbox_.DrainUpTo(tick);
+    ControlTick(tick);
+    if (audit::Enabled()) {
+      AuditCommits();
+    }
   }
-}
-
-void ShardedFleet::BarrierPhase(TimeNs now) {
-  PerfCounters::Current()->fleet_barriers += 1;
-  // The control loop's cadence: first tick at one full period, then every
-  // period. Every action planned at or before `now` is already applied, so
-  // the tick samples host state after this instant's arrivals, boots,
-  // migration phases and departures, as consolidation expects.
-  if (now > start_time_ && (now - start_time_) % spec_.control_period == 0) {
-    ControlTick(now);
-  }
-  // The barrier ends only once no inbox holds an action due at or before
-  // it: the tick's placements (and the arrivals at t = 0) apply here, at
-  // `now`, before any event at `now` that they schedule can run.
-  bool settle = std::any_of(cells_.begin(), cells_.end(), [now](const auto& cell) {
-    return cell->inbox.next_due() <= now;
-  });
-  if (settle) {
-    RunCells(now);
-  }
+  mailbox_.DrainUpTo(deadline);
+  // Apply it: every cell runs once, to the deadline.
+  RunCells(deadline);
+  now_ = deadline;
+  FoldSamples();
   FoldHarvests();
   if (audit::Enabled()) {
-    AuditBarrier(now);
+    AuditCommits();
+    AuditCells(now_);
   }
 }
 
-void ShardedFleet::RunCells(TimeNs barrier) {
-  // Every cell advances, even on error: a SimBudgetExceeded mid-phase must
-  // not leave sibling cells short of the barrier (teardown assumes quiesced
+void ShardedFleet::RunCells(TimeNs deadline) {
+  // Every cell advances, even on error: a SimBudgetExceeded mid-run must not
+  // leave sibling cells short of the deadline (teardown assumes quiesced
   // cells). RunEach rethrows the *lowest-id* failure, making the propagated
   // error independent of worker scheduling; the failed cell's unapplied
   // actions are dropped with it.
   try {
     RunEach(pool_.get(), cells_.size(),
-            [this, barrier](size_t c) { RunCell(cells_[c].get(), barrier); });
+            [this, deadline](size_t c) { RunCell(cells_[c].get(), deadline); });
   } catch (...) {
     aborted_ = true;
     throw;
   }
 }
 
-void ShardedFleet::AuditBarrier(TimeNs now) const {
-  VSCHED_AUDIT_CHECK(mailbox_.next_due() > now,
-                     "mailbox message due at or before the barrier was never planned");
+void ShardedFleet::AuditCommits() const {
   for (const auto& cell : cells_) {
-    VSCHED_AUDIT_CHECK(cell->sim->now() == now, "cell clock is not at the barrier");
-    VSCHED_AUDIT_CHECK(cell->inbox.next_due() > now,
-                       "cell inbox holds an action due at or before the barrier");
     for (const auto& host : cell->hosts) {
       int commits = std::accumulate(host->thread_commits.begin(), host->thread_commits.end(), 0);
       VSCHED_AUDIT_CHECK(host->committed_vcpus == commits,
                          "host committed_vcpus disagrees with its thread commits");
+    }
+  }
+}
+
+void ShardedFleet::AuditCells(TimeNs now) const {
+  VSCHED_AUDIT_CHECK(mailbox_.next_due() > now,
+                     "mailbox message due at or before the deadline was never planned");
+  for (const auto& cell : cells_) {
+    VSCHED_AUDIT_CHECK(cell->sim->now() == now, "cell clock is not at the deadline");
+    VSCHED_AUDIT_CHECK(cell->inbox.next_due() > now,
+                       "cell inbox holds an action due at or before the deadline");
+    for (const auto& host : cell->hosts) {
       for (size_t t = 0; t < host->occupants.size(); ++t) {
         VSCHED_AUDIT_CHECK(
             static_cast<int>(host->occupants[t].size()) <= host->thread_commits[t],
@@ -594,7 +586,7 @@ void ShardedFleet::OnBootComplete(int host_id, TimeNs now) {
 }
 
 void ShardedFleet::ControlTick(TimeNs now) {
-  SampleEnergyAndUtil(now);
+  PlanSample(now);
   PlacePending(now);
   BootHostsIfNeeded(now);
   MaybeConsolidate(now);
@@ -617,38 +609,77 @@ void ShardedFleet::ControlTick(TimeNs now) {
   }
 }
 
-void ShardedFleet::SampleEnergyAndUtil(TimeNs now) {
-  // The one coordinator read of simulated cell state, which is why control
-  // ticks are barriers: every cell is quiesced at exactly `now` with every
-  // action due by then applied, so sched(t).busy() is the same answer any
-  // worker would have computed. Accumulation order is global host order —
-  // fixed, so the floating-point sums are bit-stable at any shard count.
+void ShardedFleet::PlanSample(TimeNs now) {
+  // The energy/utilization sample has a coordinator half, each host's power
+  // state, recorded here before the tick's placements, boots and
+  // power-downs, and a simulated half, each host's busy threads. The latter
+  // is an action every cell applies at `now`, after the actions planned for
+  // `now` so far and before the tick's own: what stopping every cell at `now`
+  // would have read. FoldSamples combines the halves once the cells have run.
   TimeNs dt = now - last_sample_;
   last_sample_ = now;
   if (dt <= 0) {
     return;
   }
-  double dt_sec = static_cast<double>(dt) / 1e9;
-  for (auto& cell : cells_) {
-    for (auto& host : cell->hosts) {
-      double watts = spec_.off_watts;
-      if (host->power == HostPower::kBooting) {
-        watts = spec_.booting_watts;
-      } else if (host->power == HostPower::kOn) {
-        int busy = 0;
-        int threads = topology_->num_threads();
-        for (int t = 0; t < threads; ++t) {
-          if (host->machine->sched(t).busy()) {
-            ++busy;
-          }
-        }
-        double util = static_cast<double>(busy) / static_cast<double>(threads);
-        watts = spec_.idle_watts + (spec_.busy_watts - spec_.idle_watts) * util;
-        util_integral_ += util * dt_sec;
-        on_time_integral_ += dt_sec;
-      }
-      host->energy_j += watts * dt_sec;
+  PlannedSample sample;
+  sample.dt = dt;
+  sample.power.reserve(static_cast<size_t>(spec_.hosts));
+  for (const auto& cell : cells_) {
+    for (const auto& host : cell->hosts) {
+      sample.power.push_back(host->power);
     }
+  }
+  samples_.push_back(std::move(sample));
+  for (int c = 0; c < num_cells(); ++c) {
+    cells_[static_cast<size_t>(c)]->inbox.Post(now, [this, c] { CountBusyThreads(c); });
+  }
+}
+
+void ShardedFleet::CountBusyThreads(int cell_id) {
+  FleetCell* cell = cells_[static_cast<size_t>(cell_id)].get();
+  int threads = topology_->num_threads();
+  for (const auto& host : cell->hosts) {
+    int busy = 0;
+    for (int t = 0; t < threads; ++t) {
+      if (host->machine->sched(t).busy()) {
+        ++busy;
+      }
+    }
+    cell->busy_threads.push_back(busy);
+  }
+}
+
+void ShardedFleet::FoldSamples() {
+  // Sample order, then global host order: fixed, so the floating-point sums
+  // are bit-stable at any shard count and any RunUntil stepping.
+  int threads = topology_->num_threads();
+  for (const auto& cell : cells_) {
+    VSCHED_CHECK(cell->busy_threads.size() == samples_.size() * cell->hosts.size());
+  }
+  for (size_t k = 0; k < samples_.size(); ++k) {
+    const PlannedSample& sample = samples_[k];
+    double dt_sec = static_cast<double>(sample.dt) / 1e9;
+    for (auto& cell : cells_) {
+      for (size_t i = 0; i < cell->hosts.size(); ++i) {
+        ClusterHost* host = cell->hosts[i].get();
+        HostPower power = sample.power[static_cast<size_t>(host->id)];
+        double watts = spec_.off_watts;
+        if (power == HostPower::kBooting) {
+          watts = spec_.booting_watts;
+        } else if (power == HostPower::kOn) {
+          int busy = cell->busy_threads[k * cell->hosts.size() + i];
+          double util = static_cast<double>(busy) / static_cast<double>(threads);
+          watts = spec_.idle_watts + (spec_.busy_watts - spec_.idle_watts) * util;
+          util_integral_ += util * dt_sec;
+          on_time_integral_ += dt_sec;
+        }
+        host->energy_j += watts * dt_sec;
+      }
+    }
+  }
+  samples_.clear();
+  for (auto& cell : cells_) {
+    cell->busy_threads.clear();
   }
 }
 
@@ -821,7 +852,7 @@ void ShardedFleet::FoldHarvests() {
   for (int id : unfolded_departures_) {
     TenantVm* tenant = tenants_[static_cast<size_t>(id)].get();
     if (!tenant->harvest.has_value()) {
-      VSCHED_CHECK_MSG(aborted_, "departed tenant reached a barrier unharvested");
+      VSCHED_CHECK_MSG(aborted_, "departed tenant was never harvested");
       continue;  // its cell failed before the departure action ran
     }
     FoldHarvest(*tenant->harvest);
@@ -914,8 +945,14 @@ void ShardedFleet::Finish() {
     return;
   }
   finished_ = true;
-  FoldHarvests();  // non-empty only after an aborted run phase
-  SampleEnergyAndUtil(now_);
+  FoldHarvests();  // non-empty only after an aborted run
+  if (!aborted_) {
+    // The closing sample takes a tick's path: each cell applies it where it
+    // stands. An aborted run has no consistent instant to sample.
+    PlanSample(now_);
+    RunCells(now_);
+    FoldSamples();
+  }
   for (auto& cell : cells_) {
     PerfCounters::Scope scope(&cell->counters);
     for (auto& injector : cell->injectors) {
@@ -927,7 +964,7 @@ void ShardedFleet::Finish() {
   // Live-tenant teardown and harvest in tenant-id order: the merge order
   // into the fleet-wide distributions is part of the deterministic-output
   // contract. A tenant's stack is live exactly when its placement was
-  // applied and its departure was not — after an aborted run phase that
+  // applied and its departure was not — after an aborted run that
   // can differ from the coordinator's flags, which is why the stack itself
   // decides.
   for (auto& tenant : tenants_) {

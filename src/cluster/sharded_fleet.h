@@ -21,42 +21,46 @@
 // the spec alone — never of --shards — so the simulated behaviour cannot
 // depend on the worker-thread count.
 //
-// Synchronization. Cells synchronize only where a read needs all of them:
-// at each control tick (the energy/utilization sample reads every host's
-// busy state), at the RunUntil deadline, and at Finish. Between two barriers
-// the coordinator plans and the cells apply:
-//  - Planning. Before a run phase the single-threaded coordinator drains the
-//    ShardMailbox up to the next barrier, in canonical (due, post order):
-//    arrivals, boot completions, migration phases, departures. Its
-//    handlers do control-plane bookkeeping only. Placement reads LoadViews
-//    (power and commits), consolidation reads commits and tenant flags, and
-//    power-down reads idle_since, so no handler needs a cell to have reached
-//    the handler's instant. Every effect on a cell's simulated state becomes
-//    a timestamped action in that cell's own inbox. The action captures the
-//    tenant id, host id and thread ids it was planned with, because by the
-//    time the cell applies it the coordinator's copies may hold a later
-//    instant's values.
-//  - Applying. Each cell runs to the barrier on its own: on the fleet's
-//    min(--shards, cells) worker threads when that is more than one, in cell
-//    order on the caller's thread otherwise. It stops at each action's
-//    instant and applies every action due there, together, before it runs
-//    anything later.
-//  - The barrier. Every cell stands at exactly now() == T with every action
-//    due at or before T applied. The coordinator folds the harvests of the
-//    tenants that departed since the last barrier, runs the control tick on
-//    its cadence (sample, place, boot, consolidate, power down), and lets
-//    the cells apply the tick's placements at T before the barrier ends.
+// Synchronization. The coordinator writes to cells only through their
+// inboxes and reads them only when every cell is parked: after RunUntil's
+// one run of the cells, and in Finish. Each RunUntil call plans a whole
+// stretch, then the cells apply it:
+//  - Planning. The single-threaded coordinator drains the ShardMailbox in
+//    canonical (due, post order) up to each control tick in the stretch,
+//    runs the tick (sample, place, boot, consolidate, power down), and
+//    finally drains up to the deadline. The messages are arrivals, boot
+//    completions, migration phases and departures, and their handlers do
+//    control-plane bookkeeping only. Placement reads LoadViews (power and
+//    commits), consolidation reads commits and tenant flags, and power-down
+//    reads idle_since, so no handler needs a cell to have reached the
+//    handler's instant. Every effect on a cell's simulated state becomes a
+//    timestamped action in that cell's own inbox, and so does the one read
+//    of it, the tick's energy/utilization sample (each host's busy threads).
+//    An action captures the tenant id, host id and thread ids it was planned
+//    with, because by the time the cell applies it the coordinator's copies
+//    may hold a later instant's values.
+//  - Applying. Each cell runs once to the deadline on its own: on the
+//    fleet's min(--shards, cells) worker threads when that is more than one,
+//    in cell order on the caller's thread otherwise. It stops at each
+//    action's instant and applies every action due there, together and in
+//    post order, before it runs anything later. A tick's sample is posted
+//    after the actions planned before the tick and before the tick's own, so
+//    it reads what a stop of every cell at the tick would have read.
+//  - Folding. When every cell stands at exactly now() == deadline, the
+//    coordinator folds the stretch's samples (sample order, then global host
+//    order) and the harvests of the tenants that departed in it (departure
+//    order).
 // W = gcd(control_period, boot_delay, migration_copy_latency,
 // migration_downtime) (window()) is the grid that arrivals and departures
 // are quantized to; every control-plane delay is a multiple of it, so each
-// action lands on the same instant, in the same order, as it would under a
-// barrier every W.
+// action lands on the same instant, in the same order, as it would if every
+// cell stopped every W.
 //
 // Determinism. A (FleetSpec, seed, options) triple replays byte-identically,
 // and the JSONL a fleet run emits is byte-identical for every --shards value
 // (the row_digests gate's --shards variants), the same guarantee class as the
 // runner's --jobs: the coordinator is sequential, the mailbox order is
-// canonical, cells share no mutable state between barriers, and per-cell
+// canonical, cells share no mutable state while they run, and per-cell
 // PerfCounters keep even the hot-path tallies race-free (merged in cell
 // order at Finish).
 //
@@ -96,8 +100,9 @@ enum class HostPower { kOff, kBooting, kOn };
 
 // One physical host plus the control-plane state the fleet keeps about it.
 // `machine` and `occupants` are cell-owned: only the owning cell touches them
-// between barriers. The commit, power, idle and energy fields are
-// coordinator-owned and may run ahead of the cell to the next barrier.
+// while the cells run. The commit, power and idle fields are
+// coordinator-owned and may run ahead of the cell to the RunUntil deadline;
+// the coordinator folds `energy_j` when the cells are parked.
 struct ClusterHost {
   int id = 0;
   std::unique_ptr<HostMachine> machine;
@@ -116,8 +121,8 @@ struct ClusterHost {
 };
 
 // What a departing tenant contributes to FleetTotals. Its cell fills the
-// slot when it tears the tenant down; the coordinator folds it at the next
-// barrier, in departure order.
+// slot when it tears the tenant down; the coordinator folds it when RunUntil
+// returns, in departure order.
 struct TenantHarvest {
   uint64_t pessimistic_publishes = 0;
   uint64_t quarantine_events = 0;
@@ -187,12 +192,12 @@ struct FleetTotals {
 };
 
 // One logical process of the sharded engine: a contiguous host range behind
-// a private Simulation. Exactly one thread touches a cell during a run
-// phase; the coordinator reads it only at barriers and posts to its `inbox`
-// only while every cell is parked. `counters` is the cell's PerfCounters
-// sink — installed via PerfCounters::Scope around construction and every run
-// phase so the pointer components cache at construction is the cell's own,
-// keeping tallies race-free at any shard count.
+// a private Simulation. Exactly one thread touches a cell while the cells
+// run; the coordinator posts to its `inbox` and reads it only while every
+// cell is parked. `counters` is the cell's PerfCounters sink — installed via
+// PerfCounters::Scope around construction and every run so the pointer
+// components cache at construction is the cell's own, keeping tallies
+// race-free at any shard count.
 struct FleetCell {
   int id = 0;
   int first_host = 0;
@@ -203,6 +208,9 @@ struct FleetCell {
   // Actions the coordinator planned for this cell, applied by the cell at
   // their instants (see "Synchronization" above).
   ShardMailbox inbox;
+  // Busy hardware threads of each host, in host order, appended by every
+  // sample action; folded and cleared when RunUntil returns.
+  std::vector<int> busy_threads;
 };
 
 class ShardedFleet {
@@ -229,12 +237,13 @@ class ShardedFleet {
   // per-cell event budget trips.
   void Run(TimeNs horizon);
 
-  // Advances every cell to `deadline`, with barriers at the control ticks
-  // on the way and at `deadline` itself. The first call draws the arrival
+  // Advances every cell to `deadline`: plans the control ticks on the way,
+  // then runs each cell once to `deadline`. The first call draws the arrival
   // schedule and starts the fault injectors; later calls continue from the
-  // previous deadline. Between calls every cell is quiesced, so host and
-  // tenant state may be read. Stepping at any granularity gives the same
-  // totals as one call to the final deadline.
+  // previous deadline, and a deadline at or before it does nothing. Between
+  // calls every cell is quiesced, so host and tenant state may be read.
+  // Stepping at any granularity gives the same totals as one call to the
+  // final deadline. After a call throws, only Finish may follow.
   void RunUntil(TimeNs deadline);
 
   // Stops every live tenant, harvests its latency distribution, and freezes
@@ -267,9 +276,11 @@ class ShardedFleet {
   TimeNs NextControlTickAfter(TimeNs t) const;
 
   void ScheduleArrivals(TimeNs start);
-  void BarrierPhase(TimeNs now);
-  void RunCells(TimeNs barrier);
-  void AuditBarrier(TimeNs now) const;
+  void RunCells(TimeNs deadline);
+  // Audits: the coordinator's commit bookkeeping (at every planned tick and
+  // when RunUntil returns), and the parked cells against it.
+  void AuditCommits() const;
+  void AuditCells(TimeNs now) const;
 
   // Coordinator: control-plane handlers. They plan cell effects as inbox
   // actions and never read simulated cell state.
@@ -279,7 +290,8 @@ class ShardedFleet {
   void BootHostsIfNeeded(TimeNs now);
   void OnBootComplete(int host_id, TimeNs now);
   void ControlTick(TimeNs now);
-  void SampleEnergyAndUtil(TimeNs now);
+  void PlanSample(TimeNs now);
+  void FoldSamples();
   void MaybeConsolidate(TimeNs now);
   void OnMigrationDowntime(int tenant_id, TimeNs now);
   void OnMigrationCommit(int tenant_id, TimeNs now);
@@ -294,6 +306,7 @@ class ShardedFleet {
                        int dst_host, const std::vector<HwThreadId>& dst_tids);
   void TearDownTenant(int tenant_id, int host_id, const std::vector<HwThreadId>& tids);
   static void StopApps(TenantVm* tenant);
+  void CountBusyThreads(int cell_id);
   // Registers/unregisters a tenant's vCPUs on a host's threads and
   // re-applies the commit-driven bandwidth caps of every touched thread.
   void OccupyThreads(int tenant_id, ClusterHost* host, const std::vector<HwThreadId>& tids);
@@ -321,9 +334,17 @@ class ShardedFleet {
   std::unique_ptr<ThreadPool> pool_;  // min(shards_, cells) workers; null when 1
 
   TimeNs start_time_ = 0;
-  TimeNs now_ = 0;  // the last barrier every cell has reached
-  bool aborted_ = false;  // a run phase threw; unapplied actions were dropped
-  TimeNs last_sample_ = 0;
+  TimeNs now_ = 0;  // the last deadline every cell has reached
+  bool aborted_ = false;  // a run of the cells threw; unapplied actions were dropped
+  // Energy/utilization samples planned since the last fold: the interval
+  // each closes and every host's power state (global host order) when it
+  // was planned. Each cell's busy_threads holds the other half.
+  struct PlannedSample {
+    TimeNs dt = 0;
+    std::vector<HostPower> power;
+  };
+  std::vector<PlannedSample> samples_;
+  TimeNs last_sample_ = 0;       // instant of the last planned sample
   double util_integral_ = 0;     // sum over On hosts of util * dt
   double on_time_integral_ = 0;  // sum over On hosts of dt
 

@@ -1,14 +1,23 @@
 #include "src/metrics/scenario.h"
 
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <map>
 #include <sstream>
+#include <string>
 
 #include "src/base/check.h"
 #include "src/workloads/catalog.h"
 
 namespace vsched {
 namespace {
+
+// The guest kernel keeps vCPU sets in 64-bit masks (src/guest/cpumask.h).
+constexpr int kMaxVcpus = 64;
+// Far above any host the paper models; keeps the topology's thread count, a
+// product of three script values, in range.
+constexpr int64_t kMaxHostThreads = 4096;
 
 // Splits "key=value" tokens; bare tokens map to "true".
 std::map<std::string, std::string> ParseArgs(std::istringstream& in) {
@@ -68,7 +77,13 @@ bool ScenarioRunner::ParseDuration(const std::string& text, TimeNs* out) {
   } else {
     return false;
   }
-  *out = static_cast<TimeNs>(value * scale);
+  // NaN fails both comparisons; a value at or past the far-future sentinel
+  // would not fit a TimeNs once the clock is added to it.
+  double ns = value * scale;
+  if (!(ns >= 0 && ns < static_cast<double>(kTimeInfinity))) {
+    return false;
+  }
+  *out = static_cast<TimeNs>(ns);
   return true;
 }
 
@@ -115,13 +130,27 @@ bool ScenarioRunner::RunLine(const std::string& line) {
     return true;  // blank / comment
   }
   auto args = ParseArgs(in);
-  auto need = [&](const char* key, std::string* out) {
-    auto it = args.find(key);
-    if (it == args.end()) {
-      return false;
-    }
-    *out = it->second;
-    return true;
+  // Every value is checked before it reaches the simulator, whose own
+  // checks abort the process. A missing required key, a value that does not
+  // parse (optional keys included) and a value outside its domain all fail
+  // the line with a message naming the key.
+  auto has = [&](const char* key) { return args.count(key) > 0; };
+  auto bad = [&](const char* key, const std::string& why) {
+    return Fail(directive + ": " + key + "=" + args[key] + " " + why);
+  };
+  auto missing = [&](const char* key, const char* form) {
+    return Fail(directive + " requires " + key + "=" + form);
+  };
+  // The getters leave `out` at its default when the key is absent.
+  auto get_int = [&](const char* key, int* out) {
+    return !has(key) || ParseInt(args[key], out) || bad(key, "is not an integer");
+  };
+  auto get_double = [&](const char* key, double* out) {
+    return !has(key) || (ParseDouble(args[key], out) && std::isfinite(*out)) ||
+           bad(key, "is not a number");
+  };
+  auto get_duration = [&](const char* key, TimeNs* out) {
+    return !has(key) || ParseDuration(args[key], out) || bad(key, "is not a duration");
   };
 
   if (directive == "host") {
@@ -129,20 +158,25 @@ bool ScenarioRunner::RunLine(const std::string& line) {
       return Fail("host already declared");
     }
     TopologySpec topo;
-    std::string v;
-    int n;
-    if (need("sockets", &v) && ParseInt(v, &n)) {
-      topo.sockets = n;
+    if (!get_int("sockets", &topo.sockets) || !get_int("cores", &topo.cores_per_socket) ||
+        !get_int("smt", &topo.threads_per_core) || !get_double("smt_factor", &topo.smt_factor)) {
+      return false;
     }
-    if (need("cores", &v) && ParseInt(v, &n)) {
-      topo.cores_per_socket = n;
+    if (topo.sockets < 1) {
+      return bad("sockets", "must be at least 1");
     }
-    if (need("smt", &v) && ParseInt(v, &n)) {
-      topo.threads_per_core = n;
+    if (topo.cores_per_socket < 1) {
+      return bad("cores", "must be at least 1");
     }
-    double f;
-    if (need("smt_factor", &v) && ParseDouble(v, &f)) {
-      topo.smt_factor = f;
+    if (topo.threads_per_core != 1 && topo.threads_per_core != 2) {
+      return bad("smt", "must be 1 or 2");
+    }
+    if (topo.smt_factor <= 0) {
+      return bad("smt_factor", "must be positive");
+    }
+    if (int64_t{topo.sockets} * topo.cores_per_socket * topo.threads_per_core > kMaxHostThreads) {
+      return Fail("host: sockets x cores x smt exceeds " + std::to_string(kMaxHostThreads) +
+                  " hardware threads");
     }
     sim_ = std::make_unique<Simulation>(seed_);
     machine_ = std::make_unique<HostMachine>(sim_.get(), topo);
@@ -163,59 +197,84 @@ bool ScenarioRunner::RunLine(const std::string& line) {
   if (sim_ == nullptr) {
     return Fail("'" + directive + "' before 'host'");
   }
+  auto check_tid = [&](const char* key, int tid) {
+    return (tid >= 0 && tid < machine_->num_threads()) ||
+           bad(key, "names thread " + std::to_string(tid) + ", but the host has " +
+                        std::to_string(machine_->num_threads()) + " hardware threads");
+  };
 
   if (directive == "gran") {
-    std::string v;
-    int tid;
-    TimeNs min_gran;
-    if (!need("tid", &v) || !ParseInt(v, &tid)) {
-      return Fail("gran requires tid=<t>");
+    int tid = 0;
+    TimeNs min_gran = 0;
+    if (!has("tid")) {
+      return missing("tid", "<t>");
     }
-    if (!need("min", &v) || !ParseDuration(v, &min_gran)) {
-      return Fail("gran requires min=<dur>");
+    if (!has("min")) {
+      return missing("min", "<dur>");
+    }
+    if (!get_int("tid", &tid) || !check_tid("tid", tid) || !get_duration("min", &min_gran)) {
+      return false;
+    }
+    if (min_gran == 0) {
+      // Zero-length slices would stop the clock: the run never returns.
+      return bad("min", "must be positive");
     }
     HostSchedParams params;
     params.min_granularity = min_gran;
     params.wakeup_granularity = min_gran;
-    TimeNs wakeup;
-    if (need("wakeup", &v) && ParseDuration(v, &wakeup)) {
-      params.wakeup_granularity = wakeup;
-    }
-    if (tid < 0 || tid >= machine_->num_threads()) {
-      return Fail("gran: tid out of range");
+    if (!get_duration("wakeup", &params.wakeup_granularity)) {
+      return false;
     }
     machine_->sched(tid).set_params(params);
     return true;
   }
   if (directive == "freq") {
-    std::string v;
-    int core;
-    double mult;
-    if (!need("core", &v) || !ParseInt(v, &core) || !need("mult", &v) ||
-        !ParseDouble(v, &mult)) {
+    int core = 0;
+    double mult = 0;
+    if (!has("core") || !has("mult")) {
       return Fail("freq requires core=<c> mult=<f>");
+    }
+    if (!get_int("core", &core) || !get_double("mult", &mult)) {
+      return false;
+    }
+    if (core < 0 || core >= machine_->topology().num_cores()) {
+      return bad("core", "is not a core of this host");
+    }
+    if (mult <= 0) {
+      return bad("mult", "must be positive");
     }
     machine_->SetCoreFreq(core, mult);
     return true;
   }
   if (directive == "stressor") {
-    std::string v;
-    int tid;
-    if (!need("tid", &v) || !ParseInt(v, &tid)) {
-      return Fail("stressor requires tid=<t>");
+    int tid = 0;
+    if (!has("tid")) {
+      return missing("tid", "<t>");
+    }
+    if (!get_int("tid", &tid) || !check_tid("tid", tid)) {
+      return false;
     }
     double weight = 1024.0;
-    if (need("weight", &v) && !ParseDouble(v, &weight)) {
-      return Fail("bad weight");
+    if (!get_double("weight", &weight)) {
+      return false;
     }
-    bool rt = args.count("rt") > 0;
+    if (weight <= 0) {
+      return bad("weight", "must be positive");
+    }
+    if (has("on") != has("off")) {
+      return Fail("stressor duty cycle requires both on=<dur> and off=<dur>");
+    }
+    TimeNs on = 0;
+    TimeNs off = 0;
+    if (!get_duration("on", &on) || !get_duration("off", &off)) {
+      return false;
+    }
+    if (has("on") && on == 0) {
+      return bad("on", "must be positive");
+    }
+    bool rt = has("rt");
     stressors_.push_back(std::make_unique<Stressor>(sim_.get(), "stressor", weight, rt));
-    TimeNs on;
-    TimeNs off;
-    std::string on_s;
-    std::string off_s;
-    if (need("on", &on_s) && need("off", &off_s) && ParseDuration(on_s, &on) &&
-        ParseDuration(off_s, &off)) {
+    if (has("on")) {
       stressors_.back()->StartDutyCycle(machine_.get(), tid, on, off);
     } else {
       stressors_.back()->Start(machine_.get(), tid);
@@ -226,25 +285,39 @@ bool ScenarioRunner::RunLine(const std::string& line) {
     if (vm_created_) {
       return Fail("vm already declared");
     }
-    std::string v;
-    int vcpus;
-    if (!need("vcpus", &v) || !ParseInt(v, &vcpus)) {
-      return Fail("vm requires vcpus=<n>");
+    int vcpus = 0;
+    if (!has("vcpus")) {
+      return missing("vcpus", "<n>");
+    }
+    if (!get_int("vcpus", &vcpus)) {
+      return false;
+    }
+    if (vcpus < 1 || vcpus > kMaxVcpus) {
+      return bad("vcpus", "must be in [1, " + std::to_string(kMaxVcpus) + "]");
     }
     VmSpec spec = MakeSimpleVmSpec("vm", vcpus);
-    if (need("pin", &v)) {
-      std::istringstream pins(v);
+    if (has("pin")) {
+      std::istringstream pins(args["pin"]);
       std::string item;
       int i = 0;
       while (std::getline(pins, item, ',') && i < vcpus) {
         int tid;
         if (!ParseInt(item, &tid)) {
-          return Fail("bad pin list");
+          return bad("pin", "is not a list of thread ids");
+        }
+        if (!check_tid("pin", tid)) {
+          return false;
         }
         spec.vcpus[i++].tid = tid;
       }
     }
-    spec.mutable_guest_params().use_eevdf = args.count("eevdf") > 0;
+    // Unpinned vCPUs keep the identity placement (vCPU i on thread i).
+    for (const VcpuPlacement& p : spec.vcpus) {
+      if (!check_tid("vcpus", p.tid)) {
+        return false;
+      }
+    }
+    spec.mutable_guest_params().use_eevdf = has("eevdf");
     vm_ = std::make_unique<Vm>(sim_.get(), machine_.get(), std::move(spec));
     vm_created_ = true;
     return true;
@@ -254,16 +327,24 @@ bool ScenarioRunner::RunLine(const std::string& line) {
   }
 
   if (directive == "bandwidth") {
-    std::string v;
-    int vcpu;
-    TimeNs quota;
-    TimeNs period;
-    if (!need("vcpu", &v) || !ParseInt(v, &vcpu) || !need("quota", &v) ||
-        !ParseDuration(v, &quota) || !need("period", &v) || !ParseDuration(v, &period)) {
+    int vcpu = 0;
+    TimeNs quota = 0;
+    TimeNs period = 0;
+    if (!has("vcpu") || !has("quota") || !has("period")) {
       return Fail("bandwidth requires vcpu=<i> quota=<dur> period=<dur>");
     }
+    if (!get_int("vcpu", &vcpu) || !get_duration("quota", &quota) ||
+        !get_duration("period", &period)) {
+      return false;
+    }
     if (vcpu < 0 || vcpu >= vm_->num_vcpus()) {
-      return Fail("bandwidth: vcpu out of range");
+      return bad("vcpu", "is not a vCPU of this VM");
+    }
+    if (period <= 0) {
+      return bad("period", "must be positive");
+    }
+    if (quota <= 0 || quota > period) {
+      return bad("quota", "must be in (0, period]");
     }
     vm_->SetVcpuBandwidth(vcpu, quota, period);
     return true;
@@ -272,10 +353,10 @@ bool ScenarioRunner::RunLine(const std::string& line) {
     if (fault_ != nullptr) {
       return Fail("fault already declared");
     }
-    std::string name;
-    if (!need("plan", &name)) {
-      return Fail("fault requires plan=<name>");
+    if (!has("plan")) {
+      return missing("plan", "<name>");
     }
+    std::string name = args["plan"];
     FaultPlan plan;
     if (!LookupFaultPlan(name, &plan)) {
       return Fail("unknown fault plan '" + name + "'");
@@ -288,10 +369,10 @@ bool ScenarioRunner::RunLine(const std::string& line) {
     return true;
   }
   if (directive == "vsched") {
-    std::string preset;
-    if (!need("preset", &preset)) {
-      return Fail("vsched requires preset=<cfs|enhanced|full>");
+    if (!has("preset")) {
+      return missing("preset", "<cfs|enhanced|full>");
     }
+    std::string preset = args["preset"];
     VSchedOptions options;
     if (preset == "cfs") {
       options = VSchedOptions::Cfs();
@@ -302,18 +383,23 @@ bool ScenarioRunner::RunLine(const std::string& line) {
     } else {
       return Fail("unknown preset '" + preset + "'");
     }
-    options.robust.enabled = args.count("robust") > 0 || fault_ != nullptr;
+    options.robust.enabled = has("robust") || fault_ != nullptr;
     vsched_ = std::make_unique<VSched>(&vm_->kernel(), options);
     vsched_->Start();
     return true;
   }
   if (directive == "workload") {
-    std::string name;
-    std::string v;
-    int threads;
-    if (!need("name", &name) || !need("threads", &v) || !ParseInt(v, &threads)) {
+    int threads = 0;
+    if (!has("name") || !has("threads")) {
       return Fail("workload requires name=<catalog-name> threads=<n>");
     }
+    if (!get_int("threads", &threads)) {
+      return false;
+    }
+    if (threads < 1) {
+      return bad("threads", "must be at least 1");
+    }
+    std::string name = args["name"];
     for (const CatalogEntry& e : Catalog()) {
       if (e.name == name) {
         workloads_.push_back(MakeWorkload(&vm_->kernel(), name, threads));
@@ -328,9 +414,12 @@ bool ScenarioRunner::RunLine(const std::string& line) {
     std::string skip;
     std::string dur_text;
     rest >> skip >> dur_text;
-    TimeNs dur;
+    TimeNs dur = 0;
     if (!ParseDuration(dur_text, &dur)) {
-      return Fail("run requires a duration, e.g. 'run 10s'");
+      return Fail("run requires a non-negative duration, e.g. 'run 10s' (got '" + dur_text + "')");
+    }
+    if (dur >= kTimeInfinity - sim_->now()) {
+      return Fail("run " + dur_text + " takes the clock past the far-future sentinel");
     }
     sim_->RunFor(dur);
     return true;

@@ -166,22 +166,6 @@ void Vtop::ProbePair(int a, int b, std::function<void(double)> cont) {
   raw->Start();
 }
 
-void Vtop::RunBatch(std::vector<std::pair<int, int>> pairs, std::function<void()> cont) {
-  if (pairs.empty()) {
-    cont();
-    return;
-  }
-  auto outstanding = std::make_shared<int>(static_cast<int>(pairs.size()));
-  auto shared_cont = std::make_shared<std::function<void()>>(std::move(cont));
-  for (auto [a, b] : pairs) {
-    ProbePair(a, b, [outstanding, shared_cont](double) {
-      if (--*outstanding == 0) {
-        (*shared_cont)();
-      }
-    });
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Full probe
 // ---------------------------------------------------------------------------

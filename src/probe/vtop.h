@@ -96,9 +96,6 @@ class Vtop {
   };
 
   void ProbePair(int a, int b, std::function<void(double)> cont);
-  // Runs `pairs` concurrently (they must be vCPU-disjoint); `cont` fires
-  // when all are recorded in the matrix.
-  void RunBatch(std::vector<std::pair<int, int>> pairs, std::function<void()> cont);
   void SweepFinishedProbes();
 
   void Record(int a, int b, double latency);

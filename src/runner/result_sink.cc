@@ -107,8 +107,6 @@ std::string ResultRowJson(const RunResult& result, bool include_timing) {
     row += ",\"slab_allocs\":" + std::to_string(c.event_slab_allocs);
     row += ",\"rq_picks\":" + std::to_string(c.rq_picks);
     row += ",\"rq_enqueues\":" + std::to_string(c.rq_enqueues);
-    // Fleet rows: how often every cell stopped for the coordinator.
-    row += ",\"barriers\":" + std::to_string(c.fleet_barriers);
   }
   row += "}";
   return row;

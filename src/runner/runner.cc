@@ -5,11 +5,9 @@
 #include <exception>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <utility>
 
 #include "src/base/thread_pool.h"
-#include "src/sim/rng.h"
 #include "src/sim/simulation.h"
 
 namespace vsched {
@@ -58,10 +56,6 @@ RunResult Runner::RunOne(const RunSpec& spec, int index, const RunnerOptions& op
     return result;
   }
   int max_attempts = std::max(1, options.max_attempts);
-  // Retry waits are jittered from a stream seeded by the cell itself, so a
-  // given sweep produces the same backoff sequence on every execution.
-  Rng backoff_rng(spec.seed ^ (0x9E3779B97F4A7C15ULL * static_cast<uint64_t>(index + 1)));
-  TimeNs backoff = options.retry_backoff;
   while (result.attempts < max_attempts) {
     ++result.attempts;
     result.counters.Reset();
@@ -93,15 +87,6 @@ RunResult Runner::RunOne(const RunSpec& spec, int index, const RunnerOptions& op
       result.error = "unknown exception";
     }
     result.status = RunStatus::kFailed;
-    if (result.attempts < max_attempts && options.retry_backoff > 0) {
-      double jitter = 0.5 + backoff_rng.NextDouble();  // [0.5, 1.5)
-      TimeNs wait = std::min<TimeNs>(options.retry_backoff_cap,
-                                     static_cast<TimeNs>(static_cast<double>(backoff) * jitter));
-      std::this_thread::sleep_for(std::chrono::nanoseconds(wait));
-      backoff = std::min<TimeNs>(
-          options.retry_backoff_cap,
-          static_cast<TimeNs>(static_cast<double>(backoff) * options.retry_backoff_multiplier));
-    }
   }
   return result;
 }

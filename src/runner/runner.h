@@ -51,17 +51,10 @@ struct RunnerOptions {
   // Worker threads, never more than the runs; 0 picks hardware concurrency.
   // One runs inline on the calling thread (the serial reference path).
   int jobs = 0;
-  // A run whose execution throws is retried until it has been attempted
-  // this many times; deterministic failures simply fail fast again, and
-  // simulated-budget timeouts are never retried.
+  // A run whose execution throws is retried at once until it has been
+  // attempted this many times; deterministic failures simply fail fast
+  // again, and simulated-budget timeouts are never retried.
   int max_attempts = 2;
-  // Wall-clock wait before each retry: starts at `retry_backoff`, grows by
-  // `retry_backoff_multiplier` per attempt, is capped at `retry_backoff_cap`
-  // and jittered by a stream seeded from (spec seed, index) so the waits are
-  // reproducible for a given sweep. Zero disables the wait entirely.
-  TimeNs retry_backoff = MsToNs(10);
-  double retry_backoff_multiplier = 2.0;
-  TimeNs retry_backoff_cap = MsToNs(500);
   // When non-null and set, runs that have not started yet complete
   // immediately as kFailed/"interrupted" instead of executing; runs already
   // in flight finish normally. Lets a SIGINT handler drain the sweep into a
@@ -80,7 +73,7 @@ class Runner {
   // `experiment.runs` regardless of completion order.
   std::vector<RunResult> Run(const ExperimentSpec& experiment);
 
-  // Executes one spec with the retry/backoff/cancel policy applied; used by
+  // Executes one spec with the retry/cancel policy applied; used by
   // Run() and directly by tests.
   static RunResult RunOne(const RunSpec& spec, int index, const RunnerOptions& options);
 

@@ -5,22 +5,23 @@
 //    order while it plans ahead of the cells;
 //  - each cell's inbox: the actions those handlers planned for the cell's
 //    simulated state (build a tenant stack, pause a VM, commit a migration,
-//    tear a tenant down), which the cell applies at exactly their instants.
+//    tear a tenant down, count the busy threads for a control tick's
+//    sample), which the cell applies at exactly their instants.
 // Nothing that crosses a cell boundary touches another cell's event queue or
 // entity state directly; it travels as a message instead.
 //
 // Determinism contract: messages are applied in (due_time, post order).
 // Only the single-threaded coordinator posts, and only while every cell is
-// parked at a barrier, so post order is a function of the spec alone, never
-// of how many worker threads execute the cells. This is what makes the
-// JSONL output of `vsched_run --fleet --shards=N` byte-identical for every
-// N, the same guarantee class as the runner's --jobs.
+// parked, so post order is a function of the spec alone, never of how many
+// worker threads execute the cells. This is what makes the JSONL output of
+// `vsched_run --fleet --shards=N` byte-identical for every N, the same
+// guarantee class as the runner's --jobs.
 //
 // Threading contract: one thread at a time, so no internal locking. The
 // coordinator posts to the mailbox and to every inbox, and drains the
-// mailbox, only while every cell is parked at a barrier. A cell drains its
-// own inbox on the worker thread that runs it between barriers; the thread
-// pool's task handoff orders that after the coordinator's posts.
+// mailbox, only while every cell is parked. A cell drains its own inbox on
+// the worker thread that runs it; the thread pool's task handoff orders
+// that after the coordinator's posts.
 #ifndef SRC_SIM_SHARD_MAILBOX_H_
 #define SRC_SIM_SHARD_MAILBOX_H_
 

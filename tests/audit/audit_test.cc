@@ -573,8 +573,8 @@ TEST_F(AuditTest, CleanFleetBarriersReportNothing) {
 }
 
 // A host whose committed_vcpus drifts from the sum of its per-thread
-// commits. A RunUntil deadline 1 ns later is a barrier with nothing planned
-// before it, so its audit is the first thing to see the skew.
+// commits. A RunUntil call to a deadline 1 ns later plans nothing, so the
+// audit as it returns is the first thing to see the skew.
 TEST_F(AuditTest, FleetCommitSkewIsCaughtAtTheNextBarrier) {
   ShardedFleet fleet(TinyFleet(), /*seed=*/7, VSchedOptions::Cfs(), /*shards=*/1);
   fleet.RunUntil(MsToNs(50));

@@ -61,18 +61,18 @@ TEST(PerfCountersTest, ResetClearsAllTallies) {
 }
 
 TEST(PerfCountersTest, MergeFromAddsTallies) {
-  // How the sharded fleet folds per-cell sinks into the run's sink; the
-  // coordinator's barrier count must survive a merge too.
+  // How the sharded fleet folds per-cell sinks into the run's sink; a tally
+  // the run's sink already holds must survive a merge too.
   PerfCounters run;
-  run.fleet_barriers = 13;
+  run.ticks_elided = 13;
   PerfCounters cell;
   cell.events_executed = 4;
   cell.timer_fires = 9;
-  cell.fleet_barriers = 2;
+  cell.ticks_elided = 2;
   run.MergeFrom(cell);
   EXPECT_EQ(run.events_executed, 4u);
   EXPECT_EQ(run.timer_fires, 9u);
-  EXPECT_EQ(run.fleet_barriers, 15u);
+  EXPECT_EQ(run.ticks_elided, 15u);
 }
 
 }  // namespace

@@ -4,7 +4,7 @@
 
 #include <string>
 
-#include "src/base/perf_counters.h"
+#include "src/base/audit.h"
 #include "src/base/time.h"
 #include "src/cluster/fleet_spec.h"
 #include "src/core/config.h"
@@ -83,7 +83,7 @@ TEST(ShardMailbox, FollowUpPostsDeliverInTheSameDrain) {
   std::vector<int> order;
   mailbox.Post(MsToNs(1), [&] {
     order.push_back(1);
-    // A handler chaining another same-barrier action (boot completing and
+    // A handler chaining another same-instant action (boot completing and
     // immediately placing, say) must not wait a whole extra window.
     mailbox.Post(MsToNs(1), [&] { order.push_back(2); });
   });
@@ -138,11 +138,11 @@ TEST(ShardedFleet, ChaosReplayIsIdenticalAcrossShardCounts) {
 }
 
 TEST(ShardedFleet, StepwiseRunMatchesOneShot) {
-  // Every RunUntil deadline is a barrier of its own. Stepping by window()
-  // stops every cell at every grid point, the schedule of an engine that
-  // barriers once per window, so it is the oracle for Run(horizon), which
-  // barriers only at control ticks. 10 ms steps are what callers that sample
-  // fleet state mid-run (fleet_test.cc) do. Neither may move a single total.
+  // Every RunUntil deadline stops every cell. Stepping by window() stops
+  // them at every grid point, so it is the oracle for Run(horizon), which
+  // runs each cell once to the horizon. 10 ms steps are what callers that
+  // sample fleet state mid-run (fleet_test.cc) do. Neither may move a single
+  // total.
   FaultPlan plan;
   ASSERT_TRUE(LookupFaultPlan("everything", &plan));
   struct Case {
@@ -178,39 +178,39 @@ TEST(ShardedFleet, StepwiseRunMatchesOneShot) {
   }
 }
 
-TEST(ShardedFleet, BarriersFollowTheControlCadence) {
-  // Cells stop only where a read needs all of them: t = 0 and tiny's 80
-  // control ticks (10 ms) in 800 ms, not once per 1 ms window. A RunUntil
-  // deadline off the cadence adds a barrier of its own.
+TEST(ShardedFleet, TickSampleReadsTheStateBeforeTheTicksDecisions) {
+  // Crowded: arrivals queue, so control ticks place tenants, boot hosts and
+  // power them down. Each tick's energy/utilization sample must read the
+  // power states and busy threads from before those decisions and after
+  // everything planned earlier for the tick's instant. The expected values
+  // were recorded from an engine that stopped every cell at each tick and
+  // sampled there; both totals move when the sample moves after the tick's
+  // placements.
+  FleetSpec spec = Preset("small");
+  spec.vms = 200;
+  spec.arrival_window = MsToNs(600);
   for (int shards : {1, 4}) {
     SCOPED_TRACE("shards " + std::to_string(shards));
-    PerfCounters one_shot;
-    {
-      PerfCounters::Scope scope(&one_shot);
-      ShardedFleet fleet(Tiny(), kSeed, VSchedOptions::Full(), shards);
-      fleet.Run(MsToNs(800));
-    }
-    EXPECT_EQ(one_shot.fleet_barriers, 81u);
-
-    PerfCounters stepped;
-    {
-      PerfCounters::Scope scope(&stepped);
-      ShardedFleet fleet(Tiny(), kSeed, VSchedOptions::Full(), shards);
-      fleet.RunUntil(MsToNs(5));
-      fleet.Run(MsToNs(800));
-    }
-    EXPECT_EQ(stepped.fleet_barriers, 82u);
+    FleetTotals t = RunSharded(spec, VSchedOptions::Cfs(), shards, MsToNs(2000));
+    EXPECT_EQ(t.energy_j, 7220.8999999999996);
+    EXPECT_EQ(t.host_util_mean, 0.96132785763175588);
   }
 }
 
-TEST(ShardedFleet, BarriersLeaveNoPlannedActionUnapplied) {
-  // More tenants than tiny's hosts hold, so arrivals queue and control ticks
-  // place them as departures free room. A tick's placements apply at the
-  // tick's barrier itself: whenever RunUntil returns, a tenant's stack
-  // exists exactly when the coordinator has it placed and not departed.
+// More tenants than tiny's hosts hold, so arrivals queue and control ticks
+// place them as departures free room.
+FleetSpec CrowdedTiny() {
   FleetSpec spec = Tiny();
   spec.vms = 40;
   spec.arrival_window = MsToNs(600);
+  return spec;
+}
+
+TEST(ShardedFleet, BarriersLeaveNoPlannedActionUnapplied) {
+  // A tick's placements apply at the tick's own instant: whenever RunUntil
+  // returns at a tick, a tenant's stack exists exactly when the coordinator
+  // has it placed and not departed.
+  FleetSpec spec = CrowdedTiny();
   ShardedFleet fleet(spec, kSeed, VSchedOptions::Cfs(), /*shards=*/2);
   for (TimeNs t = spec.control_period; t <= MsToNs(1000); t += spec.control_period) {
     fleet.RunUntil(t);
@@ -222,6 +222,40 @@ TEST(ShardedFleet, BarriersLeaveNoPlannedActionUnapplied) {
   }
   fleet.Finish();
   EXPECT_EQ(fleet.totals().vms_placed, spec.vms);
+}
+
+void IgnoreViolation(const char*, int, const char*, const char*) {}
+
+TEST(ShardedFleet, AuditedWindowStepsReportNothing) {
+  // Stepping by window() ends a RunUntil call at every grid point, so the
+  // audits that compare the parked cells with the coordinator run wherever
+  // an action can land, and the commit audit at every planned tick.
+  FaultPlan plan;
+  ASSERT_TRUE(LookupFaultPlan("everything", &plan));
+  struct Case {
+    const char* name;
+    FleetSpec spec;
+    const FaultPlan* chaos;
+    int shards;
+  };
+  const Case cases[] = {
+      {"tiny clean", Tiny(), nullptr, 1},
+      {"tiny chaos", Tiny(), &plan, 1},
+      {"crowded tiny", CrowdedTiny(), nullptr, 2},
+  };
+  audit::ScopedEnable enable;
+  audit::ScopedHandler handler(&IgnoreViolation);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    audit::ResetViolationCount();
+    ShardedFleet fleet(c.spec, kSeed, VSchedOptions::Full(), c.shards, c.chaos);
+    for (TimeNs t = fleet.window(); t <= MsToNs(800); t += fleet.window()) {
+      fleet.RunUntil(t);
+    }
+    fleet.Finish();
+    EXPECT_GT(fleet.totals().migrations, 0u);
+    EXPECT_EQ(audit::ViolationCount(), 0u);
+  }
 }
 
 TEST(ShardedFleet, DifferentSeedsDiffer) {
@@ -253,22 +287,21 @@ TEST(ShardedFleet, PerCellEventBudgetTripsDeterministically) {
   a.SetEventBudgetPerCell(2000);
   EXPECT_THROW(a.Run(MsToNs(1000)), SimBudgetExceeded);
 
-  // Parallel execution rethrows the same (lowest-cell) trip; dispatched
-  // event counts at the abort point match because cells stop at the same
-  // windows.
+  // Parallel execution rethrows the same (lowest-cell) trip: each cell's
+  // dispatches are a function of the spec alone.
   ShardedFleet b(spec, kSeed, VSchedOptions::Cfs(), /*shards=*/4);
   b.SetEventBudgetPerCell(2000);
   EXPECT_THROW(b.Run(MsToNs(1000)), SimBudgetExceeded);
 }
 
 TEST(ShardedFleet, BudgetTripDropsPlannedActionsAndTearsDownCleanly) {
-  // The trip lands mid-phase while the tripping cell's inbox still holds
-  // actions the coordinator planned for later instants of the phase: a
+  // The trip lands mid-run while the tripping cell's inbox still holds
+  // actions the coordinator planned for later instants of the run: a
   // placement whose stack was never built, or a departure whose stack was
   // never torn down. Both shard counts must rethrow the same trip after the
   // same dispatches, and teardown (the destructor's Finish) must skip the
   // unbuilt stacks and free the rest — the asan-ubsan job checks the latter.
-  constexpr uint64_t kTripBudget = 1250;  // trips mid-phase, well before the horizon
+  constexpr uint64_t kTripBudget = 1250;  // trips mid-run, well before the horizon
   std::string what[2];
   uint64_t dispatched[2] = {0, 0};
   int run = 0;

@@ -105,7 +105,7 @@ TEST(LintShardCrossing, PassesCoordinatorScopeTouchingCells) {
   // The coordinator owns the whole array between windows; only per-cell
   // scopes are fenced.
   const std::string snippet =
-      "void ShardedFleet::BarrierPhase(TimeNs now) {\n"
+      "void ShardedFleet::FoldHarvests(TimeNs now) {\n"
       "  for (auto& cell : cells_) {\n"
       "    Harvest(cell.get(), now);\n"
       "  }\n"

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "src/workloads/catalog.h"
 
 namespace vsched {
@@ -72,6 +75,46 @@ TEST(ScenarioTest, ErrorsCarryLineNumbers) {
   ScenarioRunner runner;
   EXPECT_FALSE(runner.RunScript("host cores=2\n\nrun nonsense\n"));
   EXPECT_NE(runner.error().find("line 3"), std::string::npos);
+}
+
+TEST(ScenarioTest, BadValuesFailTheirLineNamingTheKey) {
+  // Each bad line follows the lines it needs; none may reach a simulator
+  // check (which aborts) or run with a silently substituted value.
+  struct Case {
+    const char* setup;
+    const char* line;
+    const char* key;  // or, for `run`, the offending duration
+  };
+  const Case cases[] = {
+      {"# no host yet", "host sockets=0", "sockets"},
+      {"# no host yet", "host smt=3", "smt"},
+      {"host cores=2 smt=1", "freq core=9 mult=1", "core"},
+      {"host cores=2 smt=1", "freq core=0 mult=0", "mult"},
+      {"host cores=2 smt=1", "stressor tid=7", "tid"},
+      {"host cores=2 smt=1", "vm vcpus=0", "vcpus"},
+      {"host cores=2 smt=1", "vm vcpus=65", "vcpus"},
+      {"host cores=2 smt=1", "vm vcpus=2 pin=0,9", "pin"},
+      {"host cores=2 smt=1\nvm vcpus=2", "bandwidth vcpu=0 quota=5ms period=1ms", "quota"},
+      {"host cores=2 smt=1\nvm vcpus=2", "workload name=canneal threads=0", "threads"},
+      {"# no host yet", "host sockets=x", "sockets"},
+      {"# no host yet", "host sockets=100000 cores=100000", "sockets"},
+      {"host cores=2 smt=1", "gran tid=0 min=1ms wakeup=x", "wakeup"},
+      {"host cores=2 smt=1", "gran tid=0 min=0", "min"},
+      {"host cores=2 smt=1", "stressor tid=0 on=x off=1ms", "on"},
+      {"host cores=2 smt=1\nvm vcpus=2", "run -5ms", "-5ms"},
+      {"host cores=2 smt=1\nvm vcpus=2", "run nan", "nan"},
+      {"host cores=2 smt=1\nvm vcpus=2", "run 1e30s", "1e30s"},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.line);
+    std::string setup = c.setup;
+    int line_no = 2 + static_cast<int>(std::count(setup.begin(), setup.end(), '\n'));
+    ScenarioRunner runner;
+    EXPECT_FALSE(runner.RunScript(setup + "\n" + c.line + "\n"));
+    const std::string& error = runner.error();
+    EXPECT_EQ(error.rfind("line " + std::to_string(line_no) + ": ", 0), 0u) << error;
+    EXPECT_NE(error.find(c.key), std::string::npos) << error;
+  }
 }
 
 TEST(ScenarioTest, PinAndEevdfOptions) {

@@ -1,5 +1,5 @@
 // Tests for the runner's resilience features: the simulated-event watchdog,
-// the structured status taxonomy, cancellation, seeded retry backoff, and
+// the structured status taxonomy, cancellation, retry counting, and
 // byte-identical chaos sweeps across job counts.
 #include <gtest/gtest.h>
 
@@ -109,7 +109,6 @@ TEST(RetryTest, FailedAttemptsAreCountedDeterministically) {
   RunnerOptions options;
   options.jobs = 1;
   options.max_attempts = 3;
-  options.retry_backoff = 0;  // no wall-clock wait in tests
   std::vector<RunResult> a = Runner(options).Run(sweep);
   std::vector<RunResult> b = Runner(options).Run(sweep);
   ASSERT_EQ(a.size(), 1u);

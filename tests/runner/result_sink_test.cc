@@ -55,17 +55,15 @@ TEST(ResultRowJsonTest, TimingIsOptIn) {
   RunResult result = SampleResult();
   result.counters.events_executed = 40;
   result.counters.timer_fires = 2000;
-  result.counters.fleet_barriers = 13;
   std::string row = ResultRowJson(result, /*include_timing=*/true);
   EXPECT_NE(row.find("\"wall_ms\":1.5"), std::string::npos);
   EXPECT_NE(row.find("\"events\":40,"), std::string::npos);
   EXPECT_NE(row.find("\"timer_fires\":2000,"), std::string::npos);
   EXPECT_NE(row.find("\"dispatches\":2040,"), std::string::npos);
-  EXPECT_NE(row.find("\"barriers\":13"), std::string::npos);
   // Default rows keep their bytes: none of the timing keys appear.
   std::string plain = ResultRowJson(result);
   EXPECT_EQ(plain, ResultRowJson(SampleResult()));
-  for (const char* key : {"wall_ms", "events", "timer_fires", "dispatches", "barriers"}) {
+  for (const char* key : {"wall_ms", "events", "timer_fires", "dispatches"}) {
     EXPECT_EQ(plain.find(std::string("\"") + key + "\""), std::string::npos) << key;
   }
 }
